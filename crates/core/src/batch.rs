@@ -25,7 +25,7 @@
 //!
 //! The *whole batch* therefore respects PaX2's bound: **no site is visited
 //! more than twice, no matter how many queries the batch carries** —
-//! asserted by [`BatchReport::max_visits_per_site`] and the crate's tests.
+//! asserted by [`ExecReport::max_visits_per_site`] and the crate's tests.
 //! Network traffic stays `O(Σᵢ|Qᵢ|·|FT| + Σᵢ|answerᵢ|)`, and the per-site
 //! worker pool of `paxml-distsim` does the work of a round without
 //! re-spawning threads, so batch throughput scales with batch size.
@@ -71,102 +71,18 @@ use crate::protocol::{
     CombinedFragmentInput, InitVector,
 };
 use crate::prune::{analyze_with_trie, AnnotationAnalysis};
-use crate::report::{Algorithm, AnswerItem, EvaluationReport, ExecMode, ExecReport, QueryOutcome};
+use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::ProtocolRequest;
 use crate::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use crate::vars::PaxVar;
 use crate::EvalOptions;
 use paxml_boolex::{BitVector, CompactVector};
-use paxml_distsim::{ClusterStats, SiteId};
+use paxml_distsim::SiteId;
 use paxml_fragment::FragmentId;
 use paxml_xpath::eval::{initial_vector, QualVectors};
-use paxml_xpath::{compile_text, CompiledQuery, XPathResult};
+use paxml_xpath::CompiledQuery;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-/// The outcome of one batched evaluation: per-query reports plus the
-/// batch-level meters.
-///
-/// The cluster counters (visits, rounds, bytes, ops) are measured for the
-/// batch as a whole — visits are *shared* between queries, which is the
-/// point — so each per-query [`EvaluationReport`] carries the same
-/// [`ClusterStats`]. Per-query fields (answers, fragments evaluated,
-/// coordinator ops) are exact per query.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// One report per query, in input order.
-    pub reports: Vec<EvaluationReport>,
-    /// The batch-level cluster counters (also attached to every report).
-    pub stats: ClusterStats,
-    /// Was the XPath-annotation optimization enabled?
-    pub annotations_used: bool,
-    /// Coordinator-side unification work summed over the batch.
-    pub coordinator_ops: u64,
-    /// Wall-clock time of the whole batch as seen by the coordinator.
-    pub elapsed: Duration,
-}
-
-impl BatchReport {
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// Is the batch empty?
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
-    }
-
-    /// Maximum number of visits any site received *for the whole batch* —
-    /// ≤ 2, PaX2's single-query bound, regardless of batch size.
-    pub fn max_visits_per_site(&self) -> u32 {
-        self.stats.max_visits_per_site()
-    }
-
-    /// Total bytes moved over the (simulated) network for the whole batch.
-    pub fn network_bytes(&self) -> u64 {
-        self.stats.total_bytes()
-    }
-
-    /// Total computation over all sites plus the coordinator's unification
-    /// work, for the whole batch.
-    pub fn total_ops(&self) -> u64 {
-        self.stats.total_ops + self.coordinator_ops
-    }
-
-    /// Coordinator rounds the batch needed (≤ 2).
-    pub fn rounds(&self) -> u32 {
-        self.stats.rounds
-    }
-
-    /// Answers summed over the batch.
-    pub fn total_answers(&self) -> usize {
-        self.reports.iter().map(|r| r.answers.len()).sum()
-    }
-
-    /// Queries per second of coordinator wall-clock time.
-    pub fn queries_per_second(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return f64::INFINITY;
-        }
-        self.reports.len() as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// One-line human-readable summary of the whole batch.
-    pub fn summary(&self) -> String {
-        format!(
-            "PaX2-batch{}: {} queries, {} answers, {} rounds, {} visits max/site, {} bytes, {} ops, {:.0} q/s",
-            if self.annotations_used { "-XA" } else { "-NA" },
-            self.len(),
-            self.total_answers(),
-            self.rounds(),
-            self.max_visits_per_site(),
-            self.network_bytes(),
-            self.total_ops(),
-            self.queries_per_second(),
-        )
-    }
-}
+use std::time::Instant;
 
 /// Per-query planning state carried between the two batch stages.
 struct QueryPlan {
@@ -175,45 +91,6 @@ struct QueryPlan {
     /// Fragments whose answers are not certain after the combined pass and
     /// need the collection visit.
     finals_pending: Vec<FragmentId>,
-}
-
-/// Evaluate a batch of queries over the deployment with PaX2, sharing site
-/// visits across the batch.
-///
-/// Queries are compiled up front; the first compile error aborts the batch.
-#[deprecated(note = "use `PaxServer::prepare` + `execute_batch` instead")]
-pub fn evaluate<S: AsRef<str>>(
-    deployment: &mut Deployment,
-    queries: &[S],
-    options: &EvalOptions,
-) -> XPathResult<BatchReport> {
-    let compiled: Vec<CompiledQuery> =
-        queries.iter().map(|q| compile_text(q.as_ref())).collect::<XPathResult<_>>()?;
-    let refs: Vec<&CompiledQuery> = compiled.iter().collect();
-    let texts: Vec<String> = queries.iter().map(|q| q.as_ref().to_string()).collect();
-    let report = run(deployment, &refs, &texts, options, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail");
-    Ok(report.to_batch_report())
-}
-
-/// Evaluate a batch of already-compiled queries with PaX2. `texts` are the
-/// original query strings, used only for the per-query reports; one per
-/// compiled query.
-///
-/// # Panics
-///
-/// Panics when `compiled` and `texts` have different lengths.
-#[deprecated(note = "use `PaxServer::prepare` + `execute_batch` instead")]
-pub fn evaluate_compiled(
-    deployment: &mut Deployment,
-    compiled: &[CompiledQuery],
-    texts: &[String],
-    options: &EvalOptions,
-) -> BatchReport {
-    let refs: Vec<&CompiledQuery> = compiled.iter().collect();
-    run(deployment, &refs, texts, options, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail")
-        .to_batch_report()
 }
 
 /// The batched PaX2 driver, reported as a unified [`ExecReport`] (mode
@@ -384,191 +261,4 @@ pub(crate) fn run(
         epoch,
         placement_version: topology.version,
     })
-}
-
-impl ExecReport {
-    /// View this batch execution as the legacy [`BatchReport`]: one
-    /// [`EvaluationReport`] per query, each carrying the batch-level
-    /// cluster meters (visits are shared across the batch).
-    pub fn to_batch_report(&self) -> BatchReport {
-        BatchReport {
-            reports: self
-                .queries
-                .iter()
-                .map(|outcome| EvaluationReport {
-                    algorithm: self.algorithm,
-                    annotations_used: self.annotations_used,
-                    query: outcome.query.clone(),
-                    answers: outcome.answers.clone(),
-                    fragments_evaluated: outcome.fragments_evaluated,
-                    fragments_total: self.fragments_total,
-                    stats: self.stats.clone(),
-                    coordinator_ops: outcome.coordinator_ops,
-                    elapsed: self.elapsed,
-                })
-                .collect(),
-            stats: self.stats.clone(),
-            annotations_used: self.annotations_used,
-            coordinator_ops: self.coordinator_ops,
-            elapsed: self.elapsed,
-        }
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)] // the legacy shims stay covered until they are removed
-mod tests {
-    use super::*;
-    use crate::pax2;
-    use paxml_distsim::Placement;
-    use paxml_fragment::{fragment_at, strategy};
-    use paxml_xml::{TreeBuilder, XmlTree};
-
-    fn clientele() -> XmlTree {
-        TreeBuilder::new("clientele")
-            .open("client")
-            .leaf("name", "Anna")
-            .leaf("country", "US")
-            .open("broker")
-            .leaf("name", "E*trade")
-            .open("market")
-            .leaf("name", "NASDAQ")
-            .open("stock")
-            .leaf("code", "YHOO")
-            .leaf("buy", "$33")
-            .leaf("qt", "40")
-            .close()
-            .close()
-            .close()
-            .close()
-            .open("client")
-            .leaf("name", "Lisa")
-            .leaf("country", "Canada")
-            .open("broker")
-            .leaf("name", "CIBC")
-            .open("market")
-            .leaf("name", "TSE")
-            .open("stock")
-            .leaf("code", "GOOG")
-            .leaf("buy", "$382")
-            .leaf("qt", "90")
-            .close()
-            .close()
-            .close()
-            .close()
-            .build()
-    }
-
-    fn query_battery() -> Vec<&'static str> {
-        vec![
-            "client/name",
-            "client/broker/name",
-            "//name",
-            "//stock/code",
-            "client[country/text()='US']/broker/name",
-            "client[not(country/text()='US')]/name",
-            "//broker[//stock/code/text()='GOOG']/name",
-            "//stock[qt >= 50]/code",
-            "*/*/name",
-            "nonexistent/path",
-        ]
-    }
-
-    #[test]
-    fn batch_matches_per_query_evaluation_and_keeps_the_visit_bound() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker", "market"]).unwrap();
-        let queries = query_battery();
-        for use_annotations in [false, true] {
-            let options = EvalOptions { use_annotations };
-            let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-            let batch = evaluate(&mut d, &queries, &options).unwrap();
-            assert_eq!(batch.len(), queries.len());
-            assert!(batch.max_visits_per_site() <= 2, "batch broke the PaX2 bound");
-            assert!(batch.rounds() <= 2);
-            for (query, report) in queries.iter().zip(&batch.reports) {
-                let mut single = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-                let expected = pax2::evaluate(&mut single, query, &options).unwrap();
-                assert_eq!(
-                    report.answer_origins(),
-                    expected.answer_origins(),
-                    "batch disagrees with single-query PaX2 on {query} (XA={use_annotations})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_traffic_beats_sequential_rounds() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker", "market"]).unwrap();
-        let queries = query_battery();
-
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let batch = evaluate(&mut d, &queries, &EvalOptions::default()).unwrap();
-
-        // The same queries one at a time: up to 2 rounds *per query* and a
-        // visit count that scales with the batch size.
-        let mut single = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let mut total_rounds = 0;
-        let mut max_visits = 0;
-        for query in &queries {
-            single.reset();
-            let report = pax2::evaluate(&mut single, query, &EvalOptions::default()).unwrap();
-            total_rounds += report.stats.rounds;
-            max_visits += report.max_visits_per_site();
-        }
-        assert!(batch.rounds() <= 2);
-        assert!(total_rounds > batch.rounds() * 3);
-        assert!(max_visits > batch.max_visits_per_site() * 3);
-    }
-
-    #[test]
-    fn batch_report_exposes_batch_meters() {
-        let tree = clientele();
-        let fragmented = fragment_at(&tree, &[tree.find_first("broker").unwrap()]).unwrap();
-        let mut d = Deployment::new(&fragmented, 2, Placement::RoundRobin);
-        let batch =
-            evaluate(&mut d, &["client/name", "//stock/code"], &EvalOptions::default()).unwrap();
-        assert_eq!(batch.len(), 2);
-        assert!(!batch.is_empty());
-        assert!(batch.network_bytes() > 0);
-        assert!(batch.total_ops() > 0);
-        assert!(batch.total_answers() > 0);
-        assert!(batch.queries_per_second() > 0.0);
-        let summary = batch.summary();
-        assert!(summary.contains("PaX2-batch"));
-        assert!(summary.contains("2 queries"));
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let tree = clientele();
-        let fragmented = fragment_at(&tree, &[]).unwrap();
-        let mut d = Deployment::new(&fragmented, 1, Placement::SingleSite);
-        let batch = evaluate(&mut d, &[] as &[&str], &EvalOptions::default()).unwrap();
-        assert!(batch.is_empty());
-        assert_eq!(batch.rounds(), 0);
-        assert_eq!(batch.max_visits_per_site(), 0);
-    }
-
-    #[test]
-    fn compile_errors_abort_the_batch() {
-        let tree = clientele();
-        let fragmented = fragment_at(&tree, &[]).unwrap();
-        let mut d = Deployment::new(&fragmented, 1, Placement::SingleSite);
-        assert!(evaluate(&mut d, &["client/name", "client[", "//name"], &EvalOptions::default())
-            .is_err());
-    }
-
-    #[test]
-    fn reusing_a_deployment_resets_batch_stats() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let mut d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-        let first = evaluate(&mut d, &["client/name"], &EvalOptions::default()).unwrap();
-        let second = evaluate(&mut d, &["client/name"], &EvalOptions::default()).unwrap();
-        assert_eq!(first.max_visits_per_site(), second.max_visits_per_site());
-        assert_eq!(first.network_bytes(), second.network_bytes());
-    }
 }

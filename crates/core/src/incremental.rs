@@ -13,12 +13,13 @@
 //! * the unconditional answers, and
 //! * the candidate answers *with their residual formulas*.
 //!
-//! That cache is `QuerySession` (crate-internal): one prepared query's
-//! residual-vector state, usable against any borrowed [`Deployment`]. A
+//! That cache is `QuerySession`: one prepared query's residual-vector
+//! state, usable against any borrowed [`Deployment`]. A
 //! [`PaxServer`](crate::server::PaxServer) keeps one session per prepared
-//! query and maintains *all* of them in the single visit an update round
-//! pays to each dirty site; the deprecated [`IncrementalEngine`] wraps one
-//! session plus an owned deployment for backward compatibility.
+//! query, fills it with a cold snapshot on the query's first execution, and
+//! maintains *all* sessions in the single visit an update round pays to
+//! each dirty site. Both rounds send the same `SessionUpdate` message: the
+//! snapshot is an update round with no ops and one session.
 //!
 //! When a batch of updates arrives, only the **touched fragments'** vectors
 //! are stale. The update round ships the ops to the *dirty* sites (one
@@ -82,8 +83,8 @@
 use crate::deployment::{Deployment, ExecCtx};
 use crate::error::PaxResult;
 use crate::protocol::{
-    CandidateAnswer, FragmentUpdate, InitVector, MsgDeltaAnswer, MsgDeltaVect, MsgUpdate,
-    RecomputeInput,
+    CandidateAnswer, InitVector, MsgDeltaAnswer, MsgDeltaVect, MsgSessionUpdate, RecomputeInput,
+    SessionRecompute,
 };
 use crate::prune::{analyze_with_trie, AnnotationAnalysis, PathTrie};
 use crate::report::AnswerItem;
@@ -93,13 +94,12 @@ use crate::vars::PaxVar;
 use crate::EvalOptions;
 use paxml_boolex::{BitVector, CompactVector};
 use paxml_distsim::{ClusterStats, SiteId};
-use paxml_fragment::{FragmentId, FragmentResult, FragmentTree, UpdateOp};
+use paxml_fragment::{FragmentId, FragmentTree};
 use paxml_xpath::eval::{initial_vector, QualVectors};
-use paxml_xpath::{compile_text, CompiledQuery, XPathResult};
+use paxml_xpath::CompiledQuery;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The per-fragment cache entry: everything the coordinator keeps from the
 /// last combined pass over that fragment. `Serialize` exists only so
@@ -118,75 +118,14 @@ struct FragmentCache {
     resolved: Vec<AnswerItem>,
 }
 
-/// The outcome of one incremental re-evaluation.
-#[derive(Debug, Clone)]
-pub struct IncrementalReport {
-    /// Fragments the update batch touched.
-    pub dirty_fragments: BTreeSet<FragmentId>,
-    /// Sites holding at least one dirty fragment — the only sites visited.
-    pub dirty_sites: BTreeSet<SiteId>,
-    /// Per-site visit counts of *this* re-evaluation (not cumulative).
-    pub visits: BTreeMap<SiteId, u32>,
-    /// Update ops applied successfully.
-    pub applied_ops: usize,
-    /// Fragments whose op sequence was rejected, with the reason (their
-    /// remaining ops were skipped; their vectors were still refreshed).
-    pub rejected: BTreeMap<FragmentId, String>,
-    /// Fragments whose combined pass was re-run site-side.
-    pub recomputed_fragments: usize,
-    /// Re-unification steps `evalFT` actually performed — bottom-up
-    /// (qualifier) steps plus top-down (selection) steps, so a fragment in
-    /// both cones counts twice; every other fragment reused cached truth
-    /// values. This is the size of the dirty cone the coordinator walked.
-    pub reunified_fragments: usize,
-    /// Coordinator-side unification operations of this re-evaluation.
-    pub unify_ops: u64,
-    /// Bytes moved over the network by this re-evaluation.
-    pub network_bytes: u64,
-    /// The full cluster meters of this re-evaluation only (recorded by the
-    /// round's own [`ClusterStats`] recorder, never derived from shared
-    /// cumulative counters).
-    pub stats: ClusterStats,
-    /// Wall-clock time of the re-evaluation as seen by the coordinator.
-    pub elapsed: Duration,
-}
-
-impl IncrementalReport {
-    /// Visits this re-evaluation paid to sites holding *no* dirty fragment.
-    /// The incremental protocol guarantees this is zero.
-    pub fn clean_site_visits(&self) -> u32 {
-        self.visits
-            .iter()
-            .filter(|(site, _)| !self.dirty_sites.contains(site))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// The largest visit count any dirty site received (≤ 2; in fact the
-    /// update round needs exactly one visit per dirty site).
-    pub fn max_visits_per_dirty_site(&self) -> u32 {
-        self.visits
-            .iter()
-            .filter(|(site, _)| self.dirty_sites.contains(site))
-            .map(|(_, v)| *v)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "incremental: {} dirty fragments on {} sites, {} ops applied, {} recomputed, {} re-unified, {} unify ops, {} bytes, {:?}",
-            self.dirty_fragments.len(),
-            self.dirty_sites.len(),
-            self.applied_ops,
-            self.recomputed_fragments,
-            self.reunified_fragments,
-            self.unify_ops,
-            self.network_bytes,
-            self.elapsed,
-        )
-    }
+/// What a session's cold snapshot cost: the round's cluster meters and the
+/// coordinator's `evalFT` work.
+pub(crate) struct IncrementalReport {
+    /// The cluster meters of the snapshot round only (recorded by the
+    /// round's own [`ClusterStats`] recorder).
+    pub(crate) stats: ClusterStats,
+    /// Coordinator-side unification operations of the snapshot.
+    pub(crate) unify_ops: u64,
 }
 
 /// Coordinator-side work one session did while refreshing its state.
@@ -341,8 +280,8 @@ impl QuerySession {
     }
 
     /// Re-unify `evalFT` over the dirty cone and re-resolve the cached
-    /// answers — the coordinator-side half of a refresh, shared by the
-    /// engine's own rounds and the server's multi-session update rounds.
+    /// answers — the coordinator-side half of a refresh, shared by cold
+    /// snapshots (`initial`: the whole tree) and the server's update rounds.
     pub(crate) fn refresh_coordinator_state(
         &mut self,
         dirty_fragments: &BTreeSet<FragmentId>,
@@ -391,99 +330,48 @@ impl QuerySession {
         RefreshOutcome { unify_ops, reunified_fragments: qual_reunified + sel_reunified }
     }
 
-    /// One coordinator round over a borrowed (shared) deployment: ship the
-    /// ops and recompute instructions to the dirty sites, merge the deltas
-    /// into the caches, re-unify the dirty cone and re-resolve answers.
-    /// With `initial` set, every relevant fragment is treated as dirty
-    /// (and `ops_by_fragment` is empty). The round is pinned to `epoch`:
-    /// sites read (and, when ops are present, install) fragment versions
-    /// in that epoch's namespace. The round's meters are recorded by its
-    /// own [`ExecCtx`], so concurrent activity elsewhere on the deployment
-    /// never leaks into this report.
-    pub(crate) fn run_round(
+    /// The cold snapshot: one round over a borrowed (shared) deployment
+    /// that recomputes every relevant fragment, then `evalFT` over the whole
+    /// tree. The request is an update round's [`MsgSessionUpdate`] with no
+    /// ops and this session (`session` is its id) alone, so each site
+    /// holding a relevant fragment is visited once and reads the fragment
+    /// versions of `epoch`. The round's meters are recorded by its own
+    /// [`ExecCtx`], so concurrent activity elsewhere on the deployment never
+    /// leaks into this report.
+    pub(crate) fn snapshot(
         &mut self,
         deployment: &Deployment,
         epoch: u64,
-        ops_by_fragment: &BTreeMap<FragmentId, Vec<UpdateOp>>,
-        initial: bool,
+        session: usize,
     ) -> PaxResult<IncrementalReport> {
-        let start = Instant::now();
         let mut ctx = ExecCtx::pinned(deployment, epoch, 0);
-        let dirty_fragments: BTreeSet<FragmentId> = if initial {
-            self.analysis.relevant.iter().copied().collect()
-        } else {
-            ops_by_fragment.keys().copied().collect()
-        };
-        // ----------------------------------------------- the one dirty round
-        let grouped = ctx.group_by_site(dirty_fragments.iter().copied())?;
-        let dirty_sites: BTreeSet<SiteId> = grouped.keys().copied().collect();
+        let mut inputs = self.recompute_inputs(&self.analysis.relevant);
         let mut requests: BTreeMap<SiteId, ProtocolRequest> = BTreeMap::new();
-        let mut recomputed = 0usize;
-        for (&site, fragments) in &grouped {
-            let mut per_fragment = BTreeMap::new();
-            for &fragment in fragments {
-                let recompute = self.analysis.relevant.contains(&fragment);
-                if recompute {
-                    recomputed += 1;
-                }
-                per_fragment.insert(
-                    fragment,
-                    FragmentUpdate {
-                        ops: ops_by_fragment.get(&fragment).cloned().unwrap_or_default(),
-                        init: self.init_for(fragment),
-                        root_is_context: fragment == FragmentId::ROOT && !self.query.absolute,
-                        recompute,
-                    },
-                );
-            }
+        for (site, fragments) in ctx.group_by_site(inputs.keys().copied())? {
+            let recompute = SessionRecompute {
+                session,
+                query: self.query.clone(),
+                fragments: fragments
+                    .into_iter()
+                    .filter_map(|f| inputs.remove(&f).map(|input| (f, input)))
+                    .collect(),
+            };
             requests.insert(
                 site,
-                ProtocolRequest::Update(MsgUpdate {
-                    query: self.query.clone(),
-                    fragments: per_fragment,
+                ProtocolRequest::SessionUpdate(MsgSessionUpdate {
+                    ops: BTreeMap::new(),
+                    sessions: vec![recompute],
                 }),
             );
         }
-        debug_assert!(
-            requests.keys().all(|s| dirty_sites.contains(s)),
-            "the update round must address dirty sites only"
-        );
-        let responses = ctx.round(requests)?;
-
-        let mut applied_ops = 0usize;
-        let mut rejected: BTreeMap<FragmentId, String> = BTreeMap::new();
-        for response in responses.into_values() {
-            let delta = response.into_delta()?;
-            applied_ops += delta.applied.values().sum::<usize>();
-            rejected.extend(delta.rejected);
-            self.absorb(delta.vect, delta.answer);
+        for response in ctx.round(requests)?.into_values() {
+            for delta in response.into_session_delta()?.sessions {
+                self.absorb(delta.vect, delta.answer);
+            }
         }
-
-        // --------------------- evalFT over the dirty cone + answer refresh
-        let refresh = self.refresh_coordinator_state(&dirty_fragments, initial);
+        let refresh = self.refresh_coordinator_state(&BTreeSet::new(), true);
         self.initialized = true;
-
-        // ------------------------------------------------------------ report
-        let visits: BTreeMap<SiteId, u32> = ctx
-            .stats
-            .sites
-            .iter()
-            .map(|(site, s)| (*site, s.visits))
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        Ok(IncrementalReport {
-            dirty_fragments,
-            dirty_sites,
-            visits,
-            applied_ops,
-            rejected,
-            recomputed_fragments: recomputed,
-            reunified_fragments: refresh.reunified_fragments,
-            unify_ops: refresh.unify_ops,
-            network_bytes: ctx.stats.total_bytes(),
-            stats: ctx.stats,
-            elapsed: start.elapsed(),
-        })
+        Ok(IncrementalReport { stats: ctx.stats, unify_ops: refresh.unify_ops })
     }
 
     /// Adopt a new fragment tree after a re-fragmentation that left this
@@ -608,390 +496,5 @@ impl QuerySession {
             }
         }
         (changed, reunified)
-    }
-}
-
-/// A long-lived evaluation session: one query over one owned deployment,
-/// with the per-fragment residual vectors cached between update batches.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` + `apply_updates`, which maintain the \
-                     same cache for every prepared query of a session")]
-pub struct IncrementalEngine {
-    deployment: Deployment,
-    session: QuerySession,
-}
-
-#[allow(deprecated)]
-impl IncrementalEngine {
-    /// Compile `query_text`, run the initial full evaluation (one visit per
-    /// occupied relevant site), and populate the caches.
-    pub fn new(
-        deployment: Deployment,
-        query_text: &str,
-        options: &EvalOptions,
-    ) -> XPathResult<IncrementalEngine> {
-        let query = compile_text(query_text)?;
-        let ft = deployment.fragment_tree.clone();
-        let root_label = deployment.root_label.clone();
-        let trie = deployment.current_topology().path_trie(&root_label);
-        let mut engine = IncrementalEngine {
-            deployment,
-            session: QuerySession::new(query, query_text, options, ft, &root_label, &trie),
-        };
-        // The initial evaluation is "everything is dirty, nothing to apply":
-        // one update round with empty op lists snapshots every relevant
-        // fragment.
-        engine
-            .session
-            .run_round(&engine.deployment, paxml_distsim::LATEST_EPOCH, &BTreeMap::new(), true)
-            .expect("the in-process simulator transport cannot fail");
-        Ok(engine)
-    }
-
-    /// The query this session evaluates.
-    pub fn query_text(&self) -> &str {
-        self.session.query_text()
-    }
-
-    /// The evaluation options the session was created with.
-    pub fn options(&self) -> &EvalOptions {
-        self.session.options()
-    }
-
-    /// The current answers (kept up to date by [`Self::apply_updates`]),
-    /// sorted by original-document position.
-    pub fn answers(&self) -> &[AnswerItem] {
-        self.session.answers()
-    }
-
-    /// The current answers' text contents.
-    pub fn answer_texts(&self) -> Vec<String> {
-        self.session.answers().iter().filter_map(|a| a.text.clone()).collect()
-    }
-
-    /// The underlying deployment (for cumulative statistics).
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
-    }
-
-    /// Apply a batch of updates and bring the cached answers up to date,
-    /// visiting only the sites that hold an updated fragment.
-    ///
-    /// Ops for the same fragment apply in batch order. Returns an error if
-    /// an op names a fragment the deployment does not have; per-op
-    /// validation failures are reported per fragment in
-    /// [`IncrementalReport::rejected`] instead (the deployment stays
-    /// consistent — the fragment's vectors are refreshed either way).
-    pub fn apply_updates(
-        &mut self,
-        updates: &[(FragmentId, UpdateOp)],
-    ) -> FragmentResult<IncrementalReport> {
-        let mut ops_by_fragment: BTreeMap<FragmentId, Vec<UpdateOp>> = BTreeMap::new();
-        for (fragment, op) in updates {
-            if fragment.index() >= self.session.ft.len() {
-                return Err(paxml_fragment::FragmentError::UnknownFragment {
-                    fragment: fragment.index(),
-                });
-            }
-            ops_by_fragment.entry(*fragment).or_default().push(op.clone());
-        }
-        Ok(self
-            .session
-            .run_round(&self.deployment, paxml_distsim::LATEST_EPOCH, &ops_by_fragment, false)
-            .expect("the in-process simulator transport cannot fail"))
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod tests {
-    use super::*;
-    use crate::pax2;
-    use paxml_distsim::Placement;
-    use paxml_fragment::{strategy, FragmentedTree};
-    use paxml_xml::{NodeId, TreeBuilder, XmlTree};
-
-    fn clientele() -> XmlTree {
-        TreeBuilder::new("clientele")
-            .open("client")
-            .leaf("name", "Anna")
-            .leaf("country", "US")
-            .open("broker")
-            .leaf("name", "E*trade")
-            .open("market")
-            .leaf("name", "NASDAQ")
-            .open("stock")
-            .leaf("code", "GOOG")
-            .leaf("buy", "$374")
-            .leaf("qt", "40")
-            .close()
-            .close()
-            .close()
-            .close()
-            .open("client")
-            .leaf("name", "Lisa")
-            .leaf("country", "Canada")
-            .open("broker")
-            .leaf("name", "CIBC")
-            .open("market")
-            .leaf("name", "TSE")
-            .open("stock")
-            .leaf("code", "GOOG")
-            .leaf("buy", "$382")
-            .leaf("qt", "90")
-            .close()
-            .close()
-            .close()
-            .close()
-            .build()
-    }
-
-    /// From-scratch PaX2 over a *mirror* of the (updated) fragments.
-    fn from_scratch(
-        mirror: &FragmentedTree,
-        query: &str,
-        options: &EvalOptions,
-        sites: usize,
-    ) -> Vec<AnswerItem> {
-        let mut d = Deployment::new(mirror, sites, Placement::RoundRobin).sequential();
-        pax2::evaluate(&mut d, query, options).unwrap().answers
-    }
-
-    /// Apply the same ops to the test's mirror fragments.
-    fn mirror_apply(mirror: &mut FragmentedTree, updates: &[(FragmentId, UpdateOp)]) {
-        for (fragment, op) in updates {
-            paxml_fragment::apply_update(&mut mirror.fragments[fragment.index()], op).unwrap();
-        }
-    }
-
-    fn text_node_of(tree: &XmlTree, label: &str) -> NodeId {
-        let e = tree.find_first(label).unwrap();
-        tree.children(e).next().unwrap()
-    }
-
-    #[test]
-    fn initial_evaluation_matches_pax2() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker", "market"]).unwrap();
-        for use_annotations in [false, true] {
-            let options = EvalOptions { use_annotations };
-            for query in [
-                "client/name",
-                "client[country/text()='US']/broker/name",
-                "//stock[qt >= 50]/code",
-                "//broker[//stock/code/text()='GOOG']/name",
-                "nonexistent/path",
-            ] {
-                let d = Deployment::new(&fragmented, 4, Placement::RoundRobin).sequential();
-                let engine = IncrementalEngine::new(d, query, &options).unwrap();
-                let expected = from_scratch(&fragmented, query, &options, 4);
-                assert_eq!(
-                    engine.answers(),
-                    &expected[..],
-                    "initial answers differ on {query} (XA={use_annotations})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn update_in_a_clean_fragment_flips_answers_elsewhere_without_visiting_them() {
-        // Query: US clients' broker names. The broker fragments hold the
-        // answers; the client data (country) lives in the root fragment.
-        // Editing Lisa's country flips the qualifier, so the *clean* broker
-        // fragment's candidate resolves differently — with zero visits to
-        // its site.
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let mut mirror = fragmented.clone();
-        let query = "client[country/text()='US']/broker/name";
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine = IncrementalEngine::new(d, query, &EvalOptions::default()).unwrap();
-        assert_eq!(engine.answer_texts(), vec!["E*trade".to_string()]);
-
-        // Lisa's country text node lives in the root fragment (F0).
-        let root_tree = &mirror.fragments[0].tree;
-        let countries = root_tree.find_all("country");
-        let lisa_country = root_tree.children(countries[1]).next().unwrap();
-        let updates =
-            vec![(FragmentId(0), UpdateOp::EditText { node: lisa_country, text: "US".into() })];
-        mirror_apply(&mut mirror, &updates);
-        let report = engine.apply_updates(&updates).unwrap();
-
-        assert_eq!(engine.answers(), &from_scratch(&mirror, query, &EvalOptions::default(), 3)[..]);
-        assert_eq!(engine.answer_texts(), vec!["E*trade".to_string(), "CIBC".to_string()]);
-        assert_eq!(report.dirty_fragments.len(), 1);
-        assert_eq!(report.clean_site_visits(), 0, "clean sites must not be visited");
-        assert_eq!(report.max_visits_per_dirty_site(), 1);
-        // CIBC's fragment was *not* recomputed — its cached candidate was
-        // re-resolved at the coordinator.
-        assert_eq!(report.recomputed_fragments, 1);
-    }
-
-    #[test]
-    fn inserts_and_deletes_change_answers_incrementally() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let mut mirror = fragmented.clone();
-        let query = "client/broker/name";
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine = IncrementalEngine::new(d, query, &EvalOptions::default()).unwrap();
-        assert_eq!(engine.answer_texts(), vec!["E*trade".to_string(), "CIBC".to_string()]);
-
-        // Insert a second name under Anna's broker (F1), delete CIBC's (F2).
-        let f1_root = mirror.fragments[1].tree.root();
-        let f2_name = mirror.fragments[2].tree.find_first("name").unwrap();
-        let subtree = TreeBuilder::new("name").with(|t, r| {
-            t.append_text(r, "E*trade Pro");
-        });
-        let updates = vec![
-            (
-                FragmentId(1),
-                UpdateOp::InsertSubtree {
-                    parent: f1_root,
-                    subtree: subtree.build(),
-                    origin_base: 1000,
-                },
-            ),
-            (FragmentId(2), UpdateOp::DeleteSubtree { node: f2_name }),
-        ];
-        mirror_apply(&mut mirror, &updates);
-        let report = engine.apply_updates(&updates).unwrap();
-
-        let expected = from_scratch(&mirror, query, &EvalOptions::default(), 3);
-        assert_eq!(engine.answers(), &expected[..]);
-        let texts = engine.answer_texts();
-        assert!(texts.contains(&"E*trade Pro".to_string()));
-        assert!(!texts.contains(&"CIBC".to_string()));
-        assert_eq!(report.clean_site_visits(), 0);
-        assert_eq!(report.applied_ops, 2);
-        assert!(report.rejected.is_empty());
-    }
-
-    #[test]
-    fn annotation_pruned_fragments_still_receive_their_updates() {
-        // With XA, `client/name` prunes the broker fragments; an update
-        // there must still be applied (the data changes) even though no
-        // vectors are recomputed — and a later engine over the same
-        // deployment sees the new data.
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let mut mirror = fragmented.clone();
-        let query = "client/name";
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine =
-            IncrementalEngine::new(d, query, &EvalOptions::with_annotations()).unwrap();
-        assert_eq!(engine.answer_texts(), vec!["Anna".to_string(), "Lisa".to_string()]);
-
-        let f1_name = text_node_of(&mirror.fragments[1].tree, "name");
-        let updates =
-            vec![(FragmentId(1), UpdateOp::EditText { node: f1_name, text: "Fidelity".into() })];
-        mirror_apply(&mut mirror, &updates);
-        let report = engine.apply_updates(&updates).unwrap();
-        assert_eq!(report.recomputed_fragments, 0, "pruned fragments need no recompute");
-        assert_eq!(report.applied_ops, 1);
-        // The engine's own answers are unaffected...
-        assert_eq!(engine.answer_texts(), vec!["Anna".to_string(), "Lisa".to_string()]);
-        // ...but the deployment's data did change: a fresh broker query over
-        // the same (updated) deployment sees the edit.
-        let d2 = Deployment::new(&mirror, 3, Placement::RoundRobin).sequential();
-        let e2 = IncrementalEngine::new(d2, "client/broker/name", &EvalOptions::default()).unwrap();
-        assert!(e2.answer_texts().contains(&"Fidelity".to_string()));
-    }
-
-    #[test]
-    fn rejected_ops_are_reported_and_leave_state_consistent() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let query = "client/broker/name";
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine = IncrementalEngine::new(d, query, &EvalOptions::default()).unwrap();
-        let before = engine.answers().to_vec();
-
-        // Deleting a fragment root is invalid; the op is rejected site-side.
-        let f1_root = fragmented.fragments[1].tree.root();
-        let report = engine
-            .apply_updates(&[(FragmentId(1), UpdateOp::DeleteSubtree { node: f1_root })])
-            .unwrap();
-        assert_eq!(report.applied_ops, 0);
-        assert!(report.rejected.contains_key(&FragmentId(1)));
-        assert_eq!(engine.answers(), &before[..], "rejected ops must not change answers");
-
-        // Unknown fragments are an error before any visit happens.
-        let visits_before: u32 = engine.deployment().stats().sites.values().map(|s| s.visits).sum();
-        assert!(engine
-            .apply_updates(&[(FragmentId(99), UpdateOp::DeleteSubtree { node: f1_root })])
-            .is_err());
-        let visits_after: u32 = engine.deployment().stats().sites.values().map(|s| s.visits).sum();
-        assert_eq!(visits_before, visits_after);
-    }
-
-    #[test]
-    fn empty_update_batch_is_a_visit_free_no_op() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine =
-            IncrementalEngine::new(d, "client/broker/name", &EvalOptions::default()).unwrap();
-        let before = engine.answers().to_vec();
-        let report = engine.apply_updates(&[]).unwrap();
-        assert!(report.dirty_fragments.is_empty());
-        assert!(report.visits.is_empty());
-        assert_eq!(report.network_bytes, 0);
-        assert_eq!(engine.answers(), &before[..]);
-    }
-
-    #[test]
-    fn dirty_cone_reunification_stays_local() {
-        // A long chain of fragments: an update at one end must not re-unify
-        // the whole tree for a qualifier-free query (only the dirty
-        // fragment's own subtree cone).
-        let mut builder = TreeBuilder::new("r");
-        for i in 0..8 {
-            builder = builder.open("c").leaf("v", format!("{i}"));
-        }
-        for _ in 0..8 {
-            builder = builder.close();
-        }
-        let tree = builder.build();
-        let fragmented = strategy::cut_at_labels(&tree, &["c"]).unwrap();
-        assert_eq!(fragmented.fragment_count(), 9);
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin).sequential();
-        let mut engine = IncrementalEngine::new(d, "//v", &EvalOptions::default()).unwrap();
-        assert_eq!(engine.answers().len(), 8);
-
-        // Edit the deepest fragment's text: its subtree cone is just itself.
-        let deepest = FragmentId(8);
-        let v_text = text_node_of(&fragmented.fragments[8].tree, "v");
-        let report = engine
-            .apply_updates(&[(deepest, UpdateOp::EditText { node: v_text, text: "edited".into() })])
-            .unwrap();
-        assert_eq!(engine.answers().len(), 8);
-        assert!(engine.answer_texts().contains(&"edited".to_string()));
-        assert!(
-            report.reunified_fragments <= 2,
-            "a leaf update must re-unify only its cone, got {}",
-            report.reunified_fragments
-        );
-        assert_eq!(report.clean_site_visits(), 0);
-    }
-
-    #[test]
-    fn report_summary_mentions_the_cone() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine =
-            IncrementalEngine::new(d, "client/broker/name", &EvalOptions::default()).unwrap();
-        let f1_name = text_node_of(&fragmented.fragments[1].tree, "name");
-        let report = engine
-            .apply_updates(&[(
-                FragmentId(1),
-                UpdateOp::EditText { node: f1_name, text: "X".into() },
-            )])
-            .unwrap();
-        let s = report.summary();
-        assert!(s.contains("1 dirty fragments"));
-        assert!(s.contains("bytes"));
-        assert_eq!(engine.query_text(), "client/broker/name");
     }
 }

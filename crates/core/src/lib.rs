@@ -5,14 +5,17 @@
 //!
 //! | Module | Paper section | What it does |
 //! |--------|---------------|--------------|
-//! | [`pax3`] | §3 | The three-stage partial-evaluation algorithm (≤ 3 visits/site). |
-//! | [`pax2`] | §4 | The two-stage algorithm (≤ 2 visits/site). |
-//! | [`batch`] | §4 (extended) | Batched multi-query PaX2: N queries share site visits, ≤ 2 visits/site for the whole batch. |
-//! | [`incremental`] | beyond the paper | Re-evaluation under fragment updates: cached per-fragment vectors, dirty-cone `evalFT`, zero visits to clean sites. |
+//! | `pax3` | §3 | The three-stage partial-evaluation algorithm (≤ 3 visits/site). |
+//! | `pax2` | §4 | The two-stage algorithm (≤ 2 visits/site). |
+//! | `batch` | §4 (extended) | Batched multi-query PaX2: N queries share site visits, ≤ 2 visits/site for the whole batch. |
+//! | `incremental` | beyond the paper | Re-evaluation under fragment updates: cached per-fragment vectors, dirty-cone `evalFT`, zero visits to clean sites. |
 //! | [`prune`] | §5 | The XPath-annotation optimization (fragment pruning + exact stack initialization). |
-//! | [`naive`] | §3 | The NaiveCentralized ship-everything baseline. |
+//! | `naive` | §3 | The NaiveCentralized ship-everything baseline. |
 //! | [`protocol`] / [`unify`] | §3.1–3.3 | The coordinator↔site messages, the per-site tasks, and the `evalFT` unification procedures. |
 //! | [`server`] | the public API | The [`PaxServer`] session: prepared queries, every mode behind one handle, one [`ExecReport`]. |
+//!
+//! The driver modules (`pax3`, `pax2`, `batch`, `incremental`, `naive`)
+//! are internal: every algorithm runs through [`PaxServer`].
 //!
 //! ```
 //! use paxml_core::{server::PaxServer, Algorithm};
@@ -46,13 +49,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod batch;
+mod batch;
 mod deployment;
 mod error;
-pub mod incremental;
-pub mod naive;
-pub mod pax2;
-pub mod pax3;
+mod incremental;
+mod naive;
+mod pax2;
+mod pax3;
 pub mod protocol;
 pub mod prune;
 mod report;
@@ -61,17 +64,12 @@ pub mod transport;
 pub mod unify;
 mod vars;
 
-pub use batch::BatchReport;
 pub use deployment::{Deployment, ExecCtx, Topology};
 pub use error::{PaxError, PaxResult};
-#[allow(deprecated)]
-pub use incremental::IncrementalEngine;
-pub use incremental::IncrementalReport;
 pub use paxml_distsim::LATEST_EPOCH;
 pub use prune::{analyze_with_trie, AnnotationAnalysis, PathTrie};
 pub use report::{
-    answer_item, Algorithm, AnswerItem, EvaluationReport, ExecMode, ExecReport, QueryOutcome,
-    UpdateOutcome,
+    answer_item, Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome, UpdateOutcome,
 };
 pub use server::{
     PaxServer, PaxServerBuilder, PrepareSetStats, PreparedQuery, RefragBase, RefragReport,

@@ -21,7 +21,7 @@ use crate::deployment::{Deployment, ExecCtx};
 use crate::error::PaxResult;
 use crate::protocol::{CollectRequest, InitVector, QualRequest, SelFragmentInput, SelRequest};
 use crate::prune::{analyze_with_trie, AnnotationAnalysis};
-use crate::report::{Algorithm, AnswerItem, EvaluationReport, ExecMode, ExecReport, QueryOutcome};
+use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::ProtocolRequest;
 use crate::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use crate::vars::PaxVar;
@@ -29,35 +29,9 @@ use crate::EvalOptions;
 use paxml_boolex::{BitVector, CompactVector};
 use paxml_fragment::FragmentId;
 use paxml_xpath::eval::{initial_vector, QualVectors};
-use paxml_xpath::{compile_text, CompiledQuery, XPathResult};
+use paxml_xpath::CompiledQuery;
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Evaluate `query_text` over the deployment with PaX3.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` (or `query_once`) instead")]
-pub fn evaluate(
-    deployment: &mut Deployment,
-    query_text: &str,
-    options: &EvalOptions,
-) -> XPathResult<EvaluationReport> {
-    let query = compile_text(query_text)?;
-    let report = run(deployment, &query, query_text, options, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail");
-    Ok(report.to_evaluation_report())
-}
-
-/// Evaluate an already-compiled query with PaX3.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` (or `query_once`) instead")]
-pub fn evaluate_compiled(
-    deployment: &mut Deployment,
-    query: &CompiledQuery,
-    query_text: &str,
-    options: &EvalOptions,
-) -> EvaluationReport {
-    run(deployment, query, query_text, options, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail")
-        .to_evaluation_report()
-}
 
 /// The PaX3 driver: the three-stage protocol, reported as a unified
 /// [`ExecReport`] whose cluster meters cover exactly this execution. Takes

@@ -3,9 +3,9 @@
 //! Every request/response type here derives `Serialize` so the simulator can
 //! charge its exact byte size to the network. The site-side task functions
 //! operate on a [`SiteLocal`]'s fragments and scratch state; they are shared
-//! between PaX3 and PaX2. The algorithms in [`crate::pax2`]/[`crate::pax3`]
-//! drive them through [`paxml_distsim::Cluster::round`]; they can also be
-//! exercised directly against a hand-built site:
+//! between PaX3 and PaX2. The algorithm drivers reach them through
+//! [`crate::transport::dispatch`]; they can also be exercised directly
+//! against a hand-built site:
 //!
 //! ```
 //! use paxml_boolex::{BitVector, CompactVector};
@@ -688,35 +688,6 @@ pub fn batch_collect_task(
 // Incremental evaluation: the update round.
 // ---------------------------------------------------------------------------
 
-/// Per-fragment payload of an update round: the ops to apply, plus how to
-/// re-run the combined pass afterwards. `recompute` is false for fragments
-/// the annotation optimization proved irrelevant — their data still changes,
-/// but no vectors need recomputing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FragmentUpdate {
-    /// The update operations, applied in order.
-    pub ops: Vec<UpdateOp>,
-    /// How to initialise the ancestor summary of the re-evaluation pass.
-    pub init: InitVector,
-    /// Is this fragment's root the evaluation context?
-    pub root_is_context: bool,
-    /// Re-run the combined pass and return fresh vectors/answers?
-    pub recompute: bool,
-}
-
-/// Request of the incremental update round (`MsgUpdate`): the coordinator
-/// ships each *dirty* site the update ops for its fragments together with
-/// the compiled query, so applying the updates and recomputing the dirty
-/// fragments' vectors costs a **single visit** — clean sites receive
-/// nothing at all.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MsgUpdate {
-    /// The compiled query the cached vectors belong to.
-    pub query: CompiledQuery,
-    /// Updates + recompute instructions per fragment at the target site.
-    pub fragments: BTreeMap<FragmentId, FragmentUpdate>,
-}
-
 /// The recomputed residual vectors of an update round (`MsgDeltaVect`):
 /// exactly what the combined pass of PaX2 would have produced for the dirty
 /// fragments, and nothing for clean ones.
@@ -752,21 +723,6 @@ pub struct MsgDeltaAnswer {
     pub sure: BTreeMap<FragmentId, Vec<AnswerItem>>,
     /// Conditional answers (with residual formulas) per recomputed fragment.
     pub candidates: BTreeMap<FragmentId, Vec<CandidateAnswer>>,
-}
-
-/// Response of the update round: the recomputed vectors, the recomputed
-/// answer state, and any rejected updates.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MsgDelta {
-    /// Recomputed residual vectors.
-    pub vect: MsgDeltaVect,
-    /// Recomputed answer state.
-    pub answer: MsgDeltaAnswer,
-    /// Update ops applied successfully, per fragment.
-    pub applied: BTreeMap<FragmentId, usize>,
-    /// Fragments whose op sequence was rejected (with the reason); their
-    /// remaining ops were skipped but their vectors were still recomputed.
-    pub rejected: BTreeMap<FragmentId, String>,
 }
 
 /// [`fused_pass_on_fragment`] with the answer routing of the incremental
@@ -809,65 +765,6 @@ fn snapshot_fragment(
     answer.candidates.insert(fid, candidates);
 }
 
-/// Site-side task of the incremental update round: apply each fragment's
-/// ops, then re-run the combined pass over the fragments marked for
-/// recomputation — one visit does both.
-///
-/// Epoch semantics: a fragment with ops is rebuilt copy-on-write from the
-/// newest snapshot **strictly before** `epoch` (so a retried epoch build
-/// never re-applies its ops on top of a failed attempt's orphan) and
-/// installed as `epoch`'s snapshot; readers pinned below `epoch` are
-/// untouched. A fragment with no ops — the cold-session initial snapshot —
-/// is read **at** `epoch` without installing anything.
-pub fn update_task(site: &mut SiteLocal, epoch: u64, request: MsgUpdate) -> MsgDelta {
-    let mut delta = MsgDelta::default();
-    for (fragment_id, fu) in &request.fragments {
-        if fu.ops.is_empty() {
-            let Some(fragment) = site.fragment_at(*fragment_id, epoch) else { continue };
-            delta.applied.insert(*fragment_id, 0);
-            if fu.recompute {
-                snapshot_fragment(
-                    site,
-                    &fragment,
-                    &request.query,
-                    &fu.init,
-                    fu.root_is_context,
-                    &mut delta.vect,
-                    &mut delta.answer,
-                );
-            }
-            continue;
-        }
-        let Some(base) = site.update_base(*fragment_id, epoch) else { continue };
-        let mut fragment = base.as_ref().clone();
-        let mut applied = 0;
-        for op in &fu.ops {
-            match paxml_fragment::apply_update(&mut fragment, op) {
-                Ok(_) => applied += 1,
-                Err(e) => {
-                    delta.rejected.insert(*fragment_id, e.to_string());
-                    break;
-                }
-            }
-            site.charge_ops(1);
-        }
-        delta.applied.insert(*fragment_id, applied);
-        if fu.recompute {
-            snapshot_fragment(
-                site,
-                &fragment,
-                &request.query,
-                &fu.init,
-                fu.root_is_context,
-                &mut delta.vect,
-                &mut delta.answer,
-            );
-        }
-        site.install_version(epoch, fragment);
-    }
-    delta
-}
-
 // ---------------------------------------------------------------------------
 // Re-fragmentation: installing a new topology's fragment payloads.
 // ---------------------------------------------------------------------------
@@ -902,7 +799,7 @@ pub fn refrag_task(site: &mut SiteLocal, epoch: u64, request: MsgRefrag) -> Refr
     let mut installed = Vec::with_capacity(request.installs.len());
     for fragment in request.installs {
         // Receiving and storing a fragment costs its shipped size, the same
-        // meter the naive baseline's Fetch uses for the reverse direction.
+        // meter FetchFragments charges for the reverse direction.
         site.charge_ops(paxml_distsim::encoded_size(&fragment));
         installed.push(fragment.id);
         site.install_version(epoch, fragment);
@@ -926,8 +823,7 @@ pub struct MsgVacuum {
 // ---------------------------------------------------------------------------
 
 /// How one prepared-query session wants one fragment's combined pass
-/// re-initialised after an update (the session analogue of
-/// [`FragmentUpdate`] minus the ops, which are shared across sessions).
+/// re-initialised (the ops, when any, are shared across sessions).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecomputeInput {
     /// How to initialise the ancestor summary of the re-evaluation pass.
@@ -955,7 +851,9 @@ pub struct SessionRecompute {
 /// active prepared-query session, the recompute instructions that refresh
 /// its residual-vector cache in the *same visit* — this is how a
 /// `PaxServer` keeps every prepared query's incremental cache current with
-/// one visit per dirty site and zero visits elsewhere.
+/// one visit per dirty site and zero visits elsewhere. A session's cold
+/// snapshot is the same message with no ops and one session recomputing
+/// every relevant fragment at the site.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MsgSessionUpdate {
     /// Update ops per fragment at the target site, applied in order.
@@ -993,10 +891,12 @@ pub struct MsgSessionDelta {
 /// session asked for — one visit does all of it.
 ///
 /// Ops rebuild each fragment copy-on-write from the newest snapshot
-/// strictly before `epoch` and install the result as `epoch`'s snapshot
-/// (see [`update_task`] for why strictness matters); the per-session
-/// recomputes then read at `epoch` and therefore see the fresh snapshots,
-/// while executions pinned to earlier epochs keep reading theirs.
+/// **strictly before** `epoch` (so a retried epoch build never re-applies
+/// its ops on top of a failed attempt's orphan) and install the result as
+/// `epoch`'s snapshot; the per-session recomputes then read at `epoch` and
+/// therefore see the fresh snapshots, while executions pinned to earlier
+/// epochs keep reading theirs. With no ops — a cold snapshot — nothing is
+/// installed and the recomputes read the fragments as of `epoch`.
 pub fn session_update_task(
     site: &mut SiteLocal,
     epoch: u64,
@@ -1159,28 +1059,35 @@ mod tests {
         assert_eq!(collected.answers[0].label, "name");
     }
 
+    /// A one-session update round over F1 of [`small_fragmented`].
+    fn update_f1(ops: Vec<UpdateOp>) -> MsgSessionUpdate {
+        let input = RecomputeInput { init: InitVector::Unknown, root_is_context: false };
+        MsgSessionUpdate {
+            ops: BTreeMap::from([(FragmentId(1), ops)]),
+            sessions: vec![SessionRecompute {
+                session: 0,
+                query: compile_text("client/broker/name").unwrap(),
+                fragments: BTreeMap::from([(FragmentId(1), input)]),
+            }],
+        }
+    }
+
     #[test]
-    fn update_task_applies_ops_and_returns_fresh_state() {
+    fn session_update_task_applies_ops_and_returns_fresh_state() {
         let (_, fragmented) = small_fragmented();
         let mut site = one_site_with(fragmented.fragments.clone());
-        let query = compile_text("client/broker/name").unwrap();
         // Edit the broker's name (F1) and re-snapshot it in the same visit.
         let f1 = &fragmented.fragments[1];
         let name = f1.tree.find_first("name").unwrap();
         let text = f1.tree.children(name).next().unwrap();
-        let mut fragments = BTreeMap::new();
-        fragments.insert(
-            FragmentId(1),
-            FragmentUpdate {
-                ops: vec![UpdateOp::EditText { node: text, text: "Bache".into() }],
-                init: InitVector::Unknown,
-                root_is_context: false,
-                recompute: true,
-            },
+        let response = session_update_task(
+            &mut site,
+            1,
+            update_f1(vec![UpdateOp::EditText { node: text, text: "Bache".into() }]),
         );
-        let delta = update_task(&mut site, 1, MsgUpdate { query, fragments });
-        assert_eq!(delta.applied[&FragmentId(1)], 1);
-        assert!(delta.rejected.is_empty());
+        assert_eq!(response.applied[&FragmentId(1)], 1);
+        assert!(response.rejected.is_empty());
+        let delta = &response.sessions[0];
         assert!(delta.vect.roots.contains_key(&FragmentId(1)));
         // The unknown-init pass yields the name node as a candidate carrying
         // the *edited* text and a residual formula over F1's Sel variables.
@@ -1199,26 +1106,31 @@ mod tests {
     }
 
     #[test]
-    fn update_task_rejects_invalid_ops_but_still_recomputes() {
+    fn session_update_task_rejects_invalid_ops_but_still_recomputes() {
         let (_, fragmented) = small_fragmented();
         let mut site = one_site_with(fragmented.fragments.clone());
-        let query = compile_text("client/broker/name").unwrap();
         let root = fragmented.fragments[1].tree.root();
-        let mut fragments = BTreeMap::new();
-        fragments.insert(
-            FragmentId(1),
-            FragmentUpdate {
-                ops: vec![UpdateOp::DeleteSubtree { node: root }],
-                init: InitVector::Unknown,
-                root_is_context: false,
-                recompute: true,
-            },
+        let response = session_update_task(
+            &mut site,
+            1,
+            update_f1(vec![UpdateOp::DeleteSubtree { node: root }]),
         );
-        let delta = update_task(&mut site, 1, MsgUpdate { query, fragments });
-        assert_eq!(delta.applied[&FragmentId(1)], 0);
-        assert!(delta.rejected[&FragmentId(1)].contains("root"));
+        assert_eq!(response.applied[&FragmentId(1)], 0);
+        assert!(response.rejected[&FragmentId(1)].contains("root"));
         // Vectors are refreshed regardless, so coordinator caches stay valid.
-        assert!(delta.vect.roots.contains_key(&FragmentId(1)));
+        assert!(response.sessions[0].vect.roots.contains_key(&FragmentId(1)));
+    }
+
+    #[test]
+    fn a_session_update_without_ops_snapshots_without_installing() {
+        let (_, fragmented) = small_fragmented();
+        let mut site = one_site_with(fragmented.fragments.clone());
+        let mut cold = update_f1(Vec::new());
+        cold.ops.clear();
+        let response = session_update_task(&mut site, 0, cold);
+        assert!(response.applied.is_empty());
+        assert_eq!(response.sessions[0].answer.candidates[&FragmentId(1)].len(), 1);
+        assert_eq!(site.version_count(), 2, "a cold snapshot installs nothing");
     }
 
     #[test]

@@ -289,7 +289,6 @@ fn chain_vectors(query: &CompiledQuery, chain: &[String]) -> Vec<Vec<bool>> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims stay covered until they are removed
 mod tests {
     use super::*;
     use paxml_xml::LabelPath;
@@ -450,7 +449,7 @@ mod tests {
         // A query whose first step matches nothing prunes every non-root
         // fragment — and the end-to-end evaluation over a real deployment
         // returns the empty answer after touching only the root fragment.
-        use crate::{pax2, pax3, Deployment, EvalOptions};
+        use crate::{Algorithm, PaxServer};
         use paxml_distsim::Placement;
         use paxml_fragment::fragment_at;
         use paxml_xml::TreeBuilder;
@@ -473,22 +472,26 @@ mod tests {
             assert_eq!(a.relevant.len(), 1, "{query} must prune every non-root fragment");
             assert!(a.relevant.contains(&FragmentId::ROOT));
 
-            let mut d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-            let p2 = pax2::evaluate(&mut d, query, &EvalOptions::with_annotations()).unwrap();
-            assert!(p2.answers.is_empty(), "{query} must have no answers");
-            assert_eq!(p2.fragments_evaluated, 1);
-            let mut d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-            let p3 = pax3::evaluate(&mut d, query, &EvalOptions::with_annotations()).unwrap();
-            assert!(p3.answers.is_empty());
-            // Only the root fragment's site is ever visited.
-            let visited: Vec<_> = d
-                .stats()
-                .sites
-                .iter()
-                .filter(|(_, s)| s.visits > 0)
-                .map(|(site, _)| *site)
-                .collect();
-            assert_eq!(visited, vec![d.site_of(FragmentId::ROOT)]);
+            for algorithm in [Algorithm::PaX2, Algorithm::PaX3] {
+                let server = PaxServer::builder()
+                    .algorithm(algorithm)
+                    .annotations(true)
+                    .sites(3)
+                    .placement(Placement::RoundRobin)
+                    .deploy(&fragmented)
+                    .unwrap();
+                let report = server.query_once(query).unwrap();
+                assert!(report.answers().is_empty(), "{algorithm}: {query} must have no answers");
+                assert_eq!(report.queries[0].fragments_evaluated, 1);
+                // Only the root fragment's site is ever visited.
+                let visited: Vec<_> = report
+                    .visits_per_site()
+                    .into_iter()
+                    .filter(|(_, visits)| *visits > 0)
+                    .map(|(site, _)| site)
+                    .collect();
+                assert_eq!(visited, vec![server.deployment().site_of(FragmentId::ROOT)]);
+            }
         }
     }
 

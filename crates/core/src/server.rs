@@ -1071,10 +1071,8 @@ impl PaxServer {
 
     /// One-shot evaluation of `text` through the configured classic engine:
     /// compiles fresh, runs the full protocol, touches no prepared-query
-    /// cache. This is the drop-in replacement for the deprecated
-    /// `pax2::evaluate`-style free functions (and what benchmarks use as
-    /// the un-amortized baseline). Shares the deployment like
-    /// [`PaxServer::execute`] does.
+    /// cache — the un-amortized baseline benchmarks measure. Shares the
+    /// deployment like [`PaxServer::execute`] does.
     pub fn query_once(&self, text: &str) -> PaxResult<ExecReport> {
         let compiled = compile_text(text)?;
         self.with_failover(|| {
@@ -1809,7 +1807,7 @@ impl PaxServer {
         }
         // Cold snapshot: one visit per relevant site, reading the pinned
         // epoch's fragment versions.
-        let round = session.run_round(&self.deployment, epoch.number, &BTreeMap::new(), true)?;
+        let round = session.snapshot(&self.deployment, epoch.number, query.id)?;
         Ok(ExecReport {
             algorithm: Algorithm::PaX2,
             annotations_used: self.options.use_annotations,
@@ -2044,6 +2042,83 @@ mod tests {
         assert_eq!(second.rounds(), 0);
         assert_eq!(second.answer_origins(), first.answer_origins());
         assert!(second.summary().contains("(cached)"));
+    }
+
+    #[test]
+    fn a_cold_snapshot_is_one_session_update_visit_per_relevant_site() {
+        use crate::transport::{dispatch, EpochRequest, ProtocolResponse, Transport};
+        use paxml_distsim::Cluster;
+
+        /// The simulator, recording the kind of every request it delivers.
+        struct Recording {
+            inner: Cluster,
+            kinds: Mutex<Vec<&'static str>>,
+        }
+        impl Transport for Recording {
+            fn round_recorded(
+                &self,
+                recorder: &mut ClusterStats,
+                requests: BTreeMap<SiteId, EpochRequest>,
+            ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>> {
+                self.kinds.lock().unwrap().extend(requests.values().map(|r| r.body.kind()));
+                Ok(Cluster::round_recorded(&self.inner, recorder, requests, dispatch))
+            }
+            fn site_count(&self) -> usize {
+                self.inner.site_count()
+            }
+            fn site_of(&self, fragment: FragmentId) -> SiteId {
+                self.inner.site_of(fragment)
+            }
+            fn occupied_sites(&self) -> BTreeSet<SiteId> {
+                self.inner.occupied_sites()
+            }
+            fn allocate_slots(&self, n: usize) -> usize {
+                self.inner.allocate_slots(n)
+            }
+            fn stats(&self) -> ClusterStats {
+                self.inner.stats()
+            }
+            fn reset(&self) {
+                self.inner.reset()
+            }
+            fn scratch_len(&self, site: SiteId) -> usize {
+                self.inner.inspect_site(site).scratch_len()
+            }
+        }
+
+        let tree = clientele();
+        let fragmented = strategy::cut_at_labels(&tree, &["broker", "market"]).unwrap();
+        let query = "client/broker/name";
+        let transport = Arc::new(Recording {
+            inner: Cluster::new(&fragmented, 4, Placement::RoundRobin),
+            kinds: Mutex::new(Vec::new()),
+        });
+        let server = PaxServer::builder()
+            .algorithm(Algorithm::PaX2)
+            .annotations(true)
+            .deploy_over(&fragmented, transport.clone())
+            .unwrap();
+        let q = server.prepare(query).unwrap();
+
+        let cold = server.execute(&q).unwrap();
+        assert!(!cold.from_cache);
+        assert!(transport.kinds.lock().unwrap().iter().all(|kind| *kind == "SessionUpdate"));
+        let relevant = crate::prune::analyze(q.compiled(), &fragmented.fragment_tree, "clientele");
+        assert!(relevant.relevant.len() < fragmented.fragment_count(), "XA must prune");
+        let relevant_sites: BTreeMap<SiteId, u32> =
+            relevant.relevant.iter().map(|&f| (server.deployment().site_of(f), 1)).collect();
+        let visited: BTreeMap<SiteId, u32> =
+            cold.visits_per_site().into_iter().filter(|(_, visits)| *visits > 0).collect();
+        assert_eq!(visited, relevant_sites, "one visit per relevant site, none elsewhere");
+        let mut expected = centralized::evaluate(&tree, query).unwrap().answers;
+        expected.sort();
+        assert_eq!(cold.answer_origins(), expected);
+
+        let sent = transport.kinds.lock().unwrap().len();
+        let cached = server.execute(&q).unwrap();
+        assert!(cached.from_cache);
+        assert_eq!(transport.kinds.lock().unwrap().len(), sent, "a cached execute sends nothing");
+        assert_eq!(cached.answers(), cold.answers());
     }
 
     #[test]

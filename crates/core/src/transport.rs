@@ -21,11 +21,10 @@
 use crate::error::{PaxError, PaxResult};
 use crate::protocol::{
     batch_collect_task, batch_combined_task, collect_task, combined_task, qualifier_task,
-    refrag_task, selection_task, session_update_task, update_task, BatchCollectRequest,
-    BatchCollectResponse, BatchCombinedRequest, BatchCombinedResponse, CollectRequest,
-    CollectResponse, CombinedRequest, CombinedResponse, MsgDelta, MsgRefrag, MsgSessionDelta,
-    MsgSessionUpdate, MsgUpdate, MsgVacuum, QualRequest, QualResponse, RefragOutcome, SelRequest,
-    SelResponse,
+    refrag_task, selection_task, session_update_task, BatchCollectRequest, BatchCollectResponse,
+    BatchCombinedRequest, BatchCombinedResponse, CollectRequest, CollectResponse, CombinedRequest,
+    CombinedResponse, MsgRefrag, MsgSessionDelta, MsgSessionUpdate, MsgVacuum, QualRequest,
+    QualResponse, RefragOutcome, SelRequest, SelResponse,
 };
 use paxml_distsim::{
     Cluster, ClusterStats, FaultKind, FaultPlan, ReplicaSet, SiteId, SiteLoadReport, SiteLocal,
@@ -44,8 +43,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochRequest {
     /// The epoch this visit reads (and, for update bodies, installs).
-    /// [`LATEST_EPOCH`] means "the newest snapshot, updated in place" — the
-    /// semantics of the deprecated unversioned API.
+    /// [`LATEST_EPOCH`] reads the newest snapshot of every fragment.
     pub epoch: u64,
     /// Retirement watermark: before the body runs, the site drops every
     /// fragment version that no execution pinned at or above this epoch can
@@ -53,14 +51,6 @@ pub struct EpochRequest {
     pub retire_below: u64,
     /// The protocol task to run.
     pub body: ProtocolRequest,
-}
-
-impl EpochRequest {
-    /// Wrap a body at [`LATEST_EPOCH`] with no retirement — the envelope
-    /// the deprecated free-function drivers use.
-    pub fn latest(body: ProtocolRequest) -> EpochRequest {
-        EpochRequest { epoch: LATEST_EPOCH, retire_below: 0, body }
-    }
 }
 
 /// A coordinator→site message body: one variant per site-side task of the
@@ -79,18 +69,15 @@ pub enum ProtocolRequest {
     BatchCombined(BatchCombinedRequest),
     /// Batched answer collection.
     BatchCollect(BatchCollectRequest),
-    /// Incremental update round of a single query session
-    /// (`crate::incremental::QuerySession`).
-    Update(MsgUpdate),
-    /// Server update round: apply ops and refresh every session's vectors.
+    /// Session round: apply update ops (if any) and refresh the named
+    /// sessions' residual vectors — both an update round and a prepared
+    /// query's cold snapshot (no ops, one session).
     SessionUpdate(MsgSessionUpdate),
-    /// Naive baseline: ship every fragment stored at the site (as seen from
-    /// the request's epoch).
-    Fetch,
-    /// Ship the named fragments as seen from the request's epoch. Unlike
-    /// [`ProtocolRequest::Fetch`] this is *routed*: the coordinator asks
-    /// each site only for the fragments the current topology places there,
-    /// so stale copies left behind by a migration are never read.
+    /// Ship the named fragments as seen from the request's epoch (the naive
+    /// baseline, re-fragmentation reads, exports). The request is *routed*:
+    /// the coordinator asks each site only for the fragments the pinned
+    /// topology places there, so stale copies left behind by a migration
+    /// are never read.
     FetchFragments(Vec<FragmentId>),
     /// Re-fragmentation round: install the shipped fragment payloads as the
     /// envelope epoch's snapshots (see [`MsgRefrag`]).
@@ -114,9 +101,7 @@ impl ProtocolRequest {
             ProtocolRequest::Collect(_) => "Collect",
             ProtocolRequest::BatchCombined(_) => "BatchCombined",
             ProtocolRequest::BatchCollect(_) => "BatchCollect",
-            ProtocolRequest::Update(_) => "Update",
             ProtocolRequest::SessionUpdate(_) => "SessionUpdate",
-            ProtocolRequest::Fetch => "Fetch",
             ProtocolRequest::FetchFragments(_) => "FetchFragments",
             ProtocolRequest::Refrag(_) => "Refrag",
             ProtocolRequest::Vacuum(_) => "Vacuum",
@@ -140,12 +125,9 @@ pub enum ProtocolResponse {
     BatchCombined(BatchCombinedResponse),
     /// Response to [`ProtocolRequest::BatchCollect`].
     BatchCollect(BatchCollectResponse),
-    /// Response to [`ProtocolRequest::Update`].
-    Delta(MsgDelta),
     /// Response to [`ProtocolRequest::SessionUpdate`].
     SessionDelta(MsgSessionDelta),
-    /// Response to [`ProtocolRequest::Fetch`] and
-    /// [`ProtocolRequest::FetchFragments`].
+    /// Response to [`ProtocolRequest::FetchFragments`].
     Fragments(Vec<Fragment>),
     /// Response to [`ProtocolRequest::Refrag`].
     Refragged(RefragOutcome),
@@ -196,16 +178,8 @@ pub fn dispatch(site: &mut SiteLocal, request: EpochRequest) -> ProtocolResponse
         ProtocolRequest::BatchCollect(r) => {
             ProtocolResponse::BatchCollect(batch_collect_task(site, epoch, r))
         }
-        ProtocolRequest::Update(r) => ProtocolResponse::Delta(update_task(site, epoch, r)),
         ProtocolRequest::SessionUpdate(r) => {
             ProtocolResponse::SessionDelta(session_update_task(site, epoch, r))
-        }
-        ProtocolRequest::Fetch => {
-            // Shipping is charged by the serialized size of the response;
-            // the site does no real computation beyond reading its store.
-            site.charge_ops(site.cumulative_size_at(epoch) as u64);
-            let fragments = site.fragments_at(epoch).iter().map(|f| f.as_ref().clone()).collect();
-            ProtocolResponse::Fragments(fragments)
         }
         ProtocolRequest::FetchFragments(ids) => {
             let mut fragments = Vec::with_capacity(ids.len());
@@ -252,7 +226,6 @@ impl ProtocolResponse {
             ProtocolResponse::Collect(_) => "Collect",
             ProtocolResponse::BatchCombined(_) => "BatchCombined",
             ProtocolResponse::BatchCollect(_) => "BatchCollect",
-            ProtocolResponse::Delta(_) => "Delta",
             ProtocolResponse::SessionDelta(_) => "SessionDelta",
             ProtocolResponse::Fragments(_) => "Fragments",
             ProtocolResponse::Refragged(_) => "Refragged",
@@ -273,11 +246,9 @@ impl ProtocolResponse {
         into_batch_combined, BatchCombined => BatchCombinedResponse;
         /// Unwrap a batched collection response.
         into_batch_collect, BatchCollect => BatchCollectResponse;
-        /// Unwrap an incremental-update delta.
-        into_delta, Delta => MsgDelta;
         /// Unwrap a session-update delta.
         into_session_delta, SessionDelta => MsgSessionDelta;
-        /// Unwrap a naive-baseline fragment shipment.
+        /// Unwrap a fragment shipment.
         into_fragments, Fragments => Vec<Fragment>;
         /// Unwrap a re-fragmentation outcome.
         into_refragged, Refragged => RefragOutcome;

@@ -16,11 +16,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-/// The epoch sentinel that always resolves to a fragment's newest snapshot.
-/// Drivers running outside an epoch-pinned server (the deprecated
-/// free-function API) read and write at this epoch: reads see the latest
-/// version and updates replace it in place, which reproduces the historical
-/// unversioned semantics exactly.
+/// The epoch sentinel that always resolves to a fragment's newest snapshot:
+/// a read pinned here sees the latest version of every fragment.
 pub const LATEST_EPOCH: u64 = u64::MAX;
 
 /// Identifier of a site (`S0`, `S1`, … in the paper's figures).
@@ -85,29 +82,17 @@ impl SiteLocal {
     /// version installed **strictly before** `epoch`. Strictness matters
     /// for crash consistency — a failed epoch build may leave an orphaned
     /// version at `epoch` on sites it reached, and a retry must not apply
-    /// its ops on top of that orphan. With [`LATEST_EPOCH`] the base is the
-    /// newest version (in-place update semantics).
+    /// its ops on top of that orphan.
     pub fn update_base(&self, fragment: FragmentId, epoch: u64) -> Option<Arc<Fragment>> {
         let versions = self.versions.get(&fragment)?;
-        if epoch == LATEST_EPOCH {
-            return versions.last().map(|(_, f)| Arc::clone(f));
-        }
         versions.iter().rev().find(|(e, _)| *e < epoch).map(|(_, f)| Arc::clone(f))
     }
 
     /// Install `fragment` as the snapshot of install-epoch `epoch`,
     /// replacing an existing version at exactly that epoch (a retried epoch
-    /// build overwrites its own orphan). With [`LATEST_EPOCH`] the newest
-    /// version is replaced in place, keeping its install epoch.
+    /// build overwrites its own orphan).
     pub fn install_version(&mut self, epoch: u64, fragment: Fragment) {
         let versions = self.versions.entry(fragment.id).or_default();
-        if epoch == LATEST_EPOCH {
-            match versions.last_mut() {
-                Some(last) => last.1 = Arc::new(fragment),
-                None => versions.push((0, Arc::new(fragment))),
-            }
-            return;
-        }
         match versions.binary_search_by_key(&epoch, |(e, _)| *e) {
             Ok(i) => versions[i].1 = Arc::new(fragment),
             Err(i) => versions.insert(i, (epoch, Arc::new(fragment))),
@@ -313,15 +298,6 @@ mod tests {
         assert_eq!(s.version_count(), 1);
         assert_eq!(s.fragment_at(FragmentId(1), 2).unwrap().root_label, "v2");
         assert_eq!(s.fragment_at(FragmentId(1), 1), None);
-    }
-
-    #[test]
-    fn latest_epoch_updates_replace_in_place() {
-        let mut s = SiteLocal::new(SiteId(0));
-        s.add_fragment(fragment(3, "old"));
-        s.install_version(LATEST_EPOCH, fragment(3, "new"));
-        assert_eq!(s.version_count(), 1, "in-place semantics must not grow the version list");
-        assert_eq!(s.fragment_at(FragmentId(3), 0).unwrap().root_label, "new");
     }
 
     #[test]

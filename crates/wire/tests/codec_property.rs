@@ -277,10 +277,9 @@ fn workloads_cover_every_protocol_message_variant() {
             "no workload produced a {kind} response; saw {all_seen:?}"
         );
     }
-    // Session refreshes ride on the update path; at least one delta flavour
-    // must have crossed the transport.
+    // Cold snapshots and update rounds both answer with a session delta.
     assert!(
-        all_seen.contains("SessionDelta") || all_seen.contains("Delta"),
-        "no update round produced a delta response; saw {all_seen:?}"
+        all_seen.contains("SessionDelta"),
+        "no session round produced a delta response; saw {all_seen:?}"
     );
 }

@@ -79,13 +79,6 @@ pub mod prelude {
         Algorithm, AnswerItem, Deployment, EvalOptions, ExecMode, ExecReport, PaxError, PaxResult,
         QueryOutcome, UpdateOutcome,
     };
-    // The pre-`PaxServer` entry points, kept for one release; see
-    // MIGRATION.md for the mapping to the session API.
-    #[allow(deprecated)]
-    pub use paxml_core::IncrementalEngine;
-    pub use paxml_core::{
-        batch, incremental, naive, pax2, pax3, BatchReport, EvaluationReport, IncrementalReport,
-    };
     pub use paxml_distsim::Placement;
     pub use paxml_fragment::{fragment_at, strategy, FragmentId, FragmentedTree, UpdateOp};
     pub use paxml_xml::{parse as parse_xml, TreeBuilder, XmlTree};

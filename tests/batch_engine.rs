@@ -129,3 +129,66 @@ fn pax2_batch_of_paper_queries_needs_at_most_two_visits_per_site() {
     }
     assert!(rounds >= 2 * batch.rounds(), "batching must amortize coordinator rounds");
 }
+
+/// The clientele document of the paper's running example, cut at every
+/// broker and market, with a battery covering qualifiers, negation, `//`,
+/// wildcards and an empty answer.
+fn clientele_battery() -> (FragmentedTree, Vec<&'static str>) {
+    let tree = paxml::xmark::clientele_document();
+    let fragmented = strategy::cut_at_labels(&tree, &["broker", "market"]).unwrap();
+    let queries = vec![
+        "client/name",
+        "client/broker/name",
+        "//name",
+        "//stock/code",
+        "client[country/text()='US']/broker/name",
+        "client[not(country/text()='US')]/name",
+        "//broker[//stock/code/text()='GOOG']/name",
+        "//stock[qt >= 50]/code",
+        "*/*/name",
+        "nonexistent/path",
+    ];
+    (fragmented, queries)
+}
+
+#[test]
+fn a_batch_answers_like_its_queries_one_at_a_time_with_far_fewer_visits() {
+    let (fragmented, queries) = clientele_battery();
+    for annotations in [false, true] {
+        let server = pax2_server(&fragmented, 4, annotations);
+        let batch = server.execute_batch_text(&queries).unwrap();
+        assert!(batch.rounds() <= 2);
+        assert!(batch.max_visits_per_site() <= 2, "batch broke the PaX2 bound");
+        let mut rounds = 0;
+        let mut visits = 0;
+        for (query, outcome) in queries.iter().zip(&batch.queries) {
+            let single = server.query_once(query).unwrap();
+            assert_eq!(
+                outcome.answers,
+                single.answers(),
+                "batch disagrees with single-query PaX2 on {query} (XA={annotations})"
+            );
+            rounds += single.rounds();
+            visits += single.max_visits_per_site();
+        }
+        assert!(rounds > batch.rounds() * 3, "{rounds} rounds one at a time");
+        assert!(visits > batch.max_visits_per_site() * 3, "{visits} visits one at a time");
+        // A second batch on the same server meters only itself.
+        let again = server.execute_batch_text(&queries).unwrap();
+        assert_eq!(again.max_visits_per_site(), batch.max_visits_per_site());
+        assert_eq!(again.network_bytes(), batch.network_bytes());
+    }
+}
+
+#[test]
+fn an_empty_batch_is_free_and_a_compile_error_aborts_the_batch() {
+    let (fragmented, _) = clientele_battery();
+    let server = pax2_server(&fragmented, 4, false);
+    let empty = server.execute_batch(&[]).unwrap();
+    assert!(empty.is_empty());
+    assert_eq!(empty.rounds(), 0);
+    assert_eq!(empty.max_visits_per_site(), 0);
+
+    assert!(server.execute_batch_text(&["client/name", "client[", "//name"]).is_err());
+    assert_eq!(server.cumulative_stats().rounds, 0, "no query of a failed batch may run");
+}

@@ -205,3 +205,165 @@ fn incremental_traffic_scales_with_dirty_fragment_count() {
         "8 dirty fragments should cost several times 1 dirty fragment: {one} -> {eight}"
     );
 }
+
+/// Two clients with one broker each: Anna (US, E*trade) and Lisa (Canada,
+/// CIBC).
+fn two_clients() -> XmlTree {
+    TreeBuilder::new("clientele")
+        .open("client")
+        .leaf("name", "Anna")
+        .leaf("country", "US")
+        .open("broker")
+        .leaf("name", "E*trade")
+        .open("market")
+        .leaf("name", "NASDAQ")
+        .open("stock")
+        .leaf("code", "GOOG")
+        .leaf("buy", "$374")
+        .leaf("qt", "40")
+        .close()
+        .close()
+        .close()
+        .close()
+        .open("client")
+        .leaf("name", "Lisa")
+        .leaf("country", "Canada")
+        .open("broker")
+        .leaf("name", "CIBC")
+        .open("market")
+        .leaf("name", "TSE")
+        .open("stock")
+        .leaf("code", "GOOG")
+        .leaf("buy", "$382")
+        .leaf("qt", "90")
+        .close()
+        .close()
+        .close()
+        .close()
+        .build()
+}
+
+/// The text node under the first `label` element of `tree`.
+fn text_node_of(tree: &XmlTree, label: &str) -> paxml::xml::NodeId {
+    let element = tree.find_first(label).unwrap();
+    tree.children(element).next().unwrap()
+}
+
+/// Editing Lisa's country (root fragment) flips the qualifier that decides
+/// the *clean* CIBC broker fragment's candidate answer: the cached formula
+/// is re-resolved at the coordinator, so that fragment is neither visited
+/// nor recomputed.
+#[test]
+fn a_clean_fragment_update_flips_answers_without_visiting_the_fragment() {
+    let fragmented = strategy::cut_at_labels(&two_clients(), &["broker"]).unwrap();
+    let mut mirror = fragmented.clone();
+    let query = "client[country/text()='US']/broker/name";
+    let server = pax2_server(&fragmented, 3, false);
+    let prepared = server.prepare(query).unwrap();
+    assert_eq!(server.execute(&prepared).unwrap().answer_texts(), vec!["E*trade".to_string()]);
+
+    let root_tree = &mirror.fragments[0].tree;
+    let lisa_country = root_tree.children(root_tree.find_all("country")[1]).next().unwrap();
+    let edit = UpdateOp::EditText { node: lisa_country, text: "US".into() };
+    paxml_fragment::apply_update(&mut mirror.fragments[0], &edit).unwrap();
+    let report = server.apply_updates(&[(FragmentId(0), edit)]).unwrap();
+    let outcome = report.update.clone().unwrap();
+    assert_eq!(outcome.dirty_fragments.len(), 1);
+    assert_eq!(report.clean_site_visits(), 0, "clean sites must not be visited");
+    assert_eq!(report.max_visits_per_site(), 1);
+    assert_eq!(outcome.recomputed_fragments, 1, "only the edited fragment is recomputed");
+
+    let reexec = server.execute(&prepared).unwrap();
+    assert!(reexec.from_cache);
+    assert_eq!(reexec.answer_texts(), vec!["E*trade".to_string(), "CIBC".to_string()]);
+    assert_eq!(reexec.answers(), &from_scratch(&mirror, query, false, 3)[..]);
+}
+
+/// With annotations, `client/name` prunes the broker fragments: an update
+/// there is still applied (the data changes) though no vectors are
+/// recomputed, and a later query over the same server sees the edit.
+#[test]
+fn annotation_pruned_fragments_still_take_their_updates() {
+    let fragmented = strategy::cut_at_labels(&two_clients(), &["broker"]).unwrap();
+    let server = pax2_server(&fragmented, 3, true);
+    let prepared = server.prepare("client/name").unwrap();
+    let names = vec!["Anna".to_string(), "Lisa".to_string()];
+    assert_eq!(server.execute(&prepared).unwrap().answer_texts(), names);
+
+    let f1_name = text_node_of(&fragmented.fragments[1].tree, "name");
+    let report = server
+        .apply_updates(&[(
+            FragmentId(1),
+            UpdateOp::EditText { node: f1_name, text: "Fidelity".into() },
+        )])
+        .unwrap();
+    let outcome = report.update.unwrap();
+    assert_eq!(outcome.recomputed_fragments, 0, "pruned fragments need no recompute");
+    assert_eq!(outcome.applied_ops, 1);
+    assert_eq!(server.execute(&prepared).unwrap().answer_texts(), names);
+    let brokers = server.query_once("client/broker/name").unwrap().answer_texts();
+    assert!(brokers.contains(&"Fidelity".to_string()), "the edit must reach the data: {brokers:?}");
+}
+
+/// A rejected op (deleting a fragment root) is reported and leaves the
+/// cached answers as they were; an unknown fragment fails before any visit;
+/// an empty batch visits nothing.
+#[test]
+fn rejected_ops_and_empty_batches_leave_cached_answers_unchanged() {
+    let fragmented = strategy::cut_at_labels(&two_clients(), &["broker"]).unwrap();
+    let server = pax2_server(&fragmented, 3, false);
+    let prepared = server.prepare("client/broker/name").unwrap();
+    let before = server.execute(&prepared).unwrap().answers().to_vec();
+
+    let f1_root = fragmented.fragments[1].tree.root();
+    let report = server
+        .apply_updates(&[(FragmentId(1), UpdateOp::DeleteSubtree { node: f1_root })])
+        .unwrap();
+    let outcome = report.update.unwrap();
+    assert_eq!(outcome.applied_ops, 0);
+    assert!(outcome.rejected.contains_key(&FragmentId(1)));
+    assert_eq!(server.execute(&prepared).unwrap().answers(), &before[..]);
+
+    let rounds = server.cumulative_stats().rounds;
+    assert!(server
+        .apply_updates(&[(FragmentId(99), UpdateOp::DeleteSubtree { node: f1_root })])
+        .is_err());
+    let empty = server.apply_updates(&[]).unwrap();
+    assert!(empty.update.as_ref().unwrap().dirty_fragments.is_empty());
+    assert!(empty.visits_per_site().is_empty());
+    assert_eq!(empty.network_bytes(), 0);
+    assert_eq!(server.cumulative_stats().rounds, rounds, "neither call may visit a site");
+    assert_eq!(server.execute(&prepared).unwrap().answers(), &before[..]);
+}
+
+/// A long chain of fragments: an edit to the deepest one re-unifies only
+/// its own cone for a qualifier-free query, not the whole tree.
+#[test]
+fn dirty_cone_reunification_stays_local() {
+    let mut builder = TreeBuilder::new("r");
+    for i in 0..8 {
+        builder = builder.open("c").leaf("v", format!("{i}"));
+    }
+    for _ in 0..8 {
+        builder = builder.close();
+    }
+    let fragmented = strategy::cut_at_labels(&builder.build(), &["c"]).unwrap();
+    assert_eq!(fragmented.fragment_count(), 9);
+    let server = pax2_server(&fragmented, 4, false);
+    let prepared = server.prepare("//v").unwrap();
+    assert_eq!(server.execute(&prepared).unwrap().answers().len(), 8);
+
+    let v_text = text_node_of(&fragmented.fragments[8].tree, "v");
+    let report = server
+        .apply_updates(&[(
+            FragmentId(8),
+            UpdateOp::EditText { node: v_text, text: "edited".into() },
+        )])
+        .unwrap();
+    let reunified = report.update.as_ref().unwrap().reunified_fragments;
+    assert!(reunified <= 2, "a leaf update must re-unify only its cone, got {reunified}");
+    assert_eq!(report.clean_site_visits(), 0);
+    let reexec = server.execute(&prepared).unwrap();
+    assert_eq!(reexec.answers().len(), 8);
+    assert!(reexec.answer_texts().contains(&"edited".to_string()));
+}
