@@ -58,11 +58,20 @@ impl de::Error for CodecError {
 /// variants, which the workspace does not contain), so this returns the
 /// buffer directly.
 pub fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let mut writer = WireWriter { out: Vec::new() };
+    let mut out = Vec::new();
+    encode_into(&mut out, value);
+    out
+}
+
+/// Append the encoding of `value` to `out` — the same bytes [`encode`]
+/// returns, written straight into a buffer the caller already holds (a
+/// frame under construction), so no intermediate copy is made.
+pub(crate) fn encode_into<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) {
+    let mut writer = WireWriter { out: std::mem::take(out) };
     value
         .serialize(&mut writer)
         .expect("every PaX protocol message fits the wire format's envelope");
-    writer.out
+    *out = writer.out;
 }
 
 /// Decode a value of type `T` from `bytes`.

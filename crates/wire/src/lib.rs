@@ -7,7 +7,8 @@
 //!   exactly the compact binary layout `paxml_distsim::encoded_size`
 //!   charges (LEB128 varints, zig-zag signing, one-byte tags), so the byte
 //!   meters of the simulator and of the socket transport agree bit for bit;
-//! * [`frame`] — length-prefixed framing over any `Read`/`Write` pair;
+//! * [`frame`] — length-prefixed framing over any `Read`/`Write` pair,
+//!   one write per frame;
 //! * [`SiteServer`] — one site's fragments behind a `TcpListener`, running
 //!   the same [`paxml_core::dispatch`] as the simulator,
 //!   thread-per-connection, with a clean shutdown message;
@@ -20,6 +21,10 @@
 //! charge the identical encoded sizes, a workload produces the same
 //! answers, visit counts and byte counts over TCP as over the simulator —
 //! the property the cross-transport conformance tests pin.
+//!
+//! Both ends of every connection set `TCP_NODELAY` and every message is
+//! one frame written in one call, so a message is one segment and no round
+//! waits on a Nagle/delayed-ACK timer.
 
 #![deny(missing_docs)]
 

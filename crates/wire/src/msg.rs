@@ -94,9 +94,45 @@ pub enum WireReply {
     },
 }
 
-/// Encode `message` and write it as one frame.
+/// Encode `message` and write it as one frame, in one write.
 pub fn send<T: Serialize>(writer: &mut impl Write, message: &T) -> io::Result<()> {
-    frame::write_frame(writer, &codec::encode(message))
+    let mut frame = vec![0; frame::PREFIX_LEN];
+    codec::encode_into(&mut frame, message);
+    frame::write_prefixed(writer, &mut frame)
+}
+
+/// Room a [`send_with_body`] frame reserves ahead of the body: the frame
+/// prefix plus the largest envelope header — a one-byte tag and up to three
+/// u64 varints of at most 10 bytes each (`ops`, `busy_nanos`, body length).
+const HEADROOM: usize = frame::PREFIX_LEN + 1 + 3 * 10;
+
+/// Send `envelope(body)` as one frame in one write, where `body` is the
+/// encoding of `value` — the same bytes as
+/// `send(writer, &envelope(codec::encode(value)))`, without encoding `value`
+/// into a vector of its own and copying it into the envelope.
+///
+/// `value` is encoded straight into the frame buffer behind [`HEADROOM`]
+/// reserved bytes; the envelope's header is then written right before it.
+/// `envelope` must hold the body as its last field, as [`WireRequest::Round`]
+/// and [`WireReply::Round`] do. Returns the body's encoded length: the
+/// metered traffic.
+pub(crate) fn send_with_body<T: Serialize, E: Serialize>(
+    writer: &mut impl Write,
+    value: &T,
+    envelope: impl FnOnce(Vec<u8>) -> E,
+) -> io::Result<usize> {
+    let mut frame = vec![0; HEADROOM];
+    codec::encode_into(&mut frame, value);
+    let body_len = frame.len() - HEADROOM;
+    // Around an empty body the envelope ends in that body's length varint,
+    // a single zero byte: swap it for the real length.
+    let mut header = codec::encode(&envelope(Vec::new()));
+    assert_eq!(header.pop(), Some(0), "the envelope must end in its body");
+    codec::encode_into(&mut header, &(body_len as u64));
+    let start = HEADROOM - header.len();
+    frame[start..HEADROOM].copy_from_slice(&header);
+    frame::write_prefixed(writer, &mut frame[start - frame::PREFIX_LEN..])?;
+    Ok(body_len)
 }
 
 /// Read one frame and decode it as a `T`.
@@ -113,6 +149,7 @@ fn invalid_data(err: CodecError) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::tests::CountingWriter;
 
     #[test]
     fn the_envelope_roundtrips_over_a_buffer() {
@@ -129,6 +166,42 @@ mod tests {
             matches!(recv::<WireRequest>(&mut cursor).unwrap(), WireRequest::Round { body } if body == vec![1, 2, 3])
         );
         assert!(matches!(recv::<WireRequest>(&mut cursor).unwrap(), WireRequest::Shutdown));
+    }
+
+    #[test]
+    fn a_message_is_one_write_in_the_prefix_then_payload_layout() {
+        for body in [vec![], vec![7u8; 5], vec![0xab; 300]] {
+            let message = WireRequest::Round { body };
+            let mut writer = CountingWriter::default();
+            send(&mut writer, &message).unwrap();
+            assert_eq!(writer.writes, 1);
+            let mut expected = Vec::new();
+            frame::write_frame(&mut expected, &codec::encode(&message)).unwrap();
+            assert_eq!(writer.bytes, expected);
+        }
+    }
+
+    #[test]
+    fn an_in_place_body_is_one_write_with_the_bytes_of_a_copied_one() {
+        for body in [vec![], vec![7u8; 5], vec![0xab; 300]] {
+            // Large meters exercise the widest envelope header.
+            for (ops, busy_nanos) in [(0, 0), (17, 123_456), (u64::MAX, u64::MAX)] {
+                let reply = |body| WireReply::Round { ops, busy_nanos, body };
+                let mut writer = CountingWriter::default();
+                let len = send_with_body(&mut writer, &body, reply).unwrap();
+                assert_eq!(writer.writes, 1);
+                assert_eq!(len, codec::encode(&body).len());
+                let mut expected = Vec::new();
+                send(&mut expected, &reply(codec::encode(&body))).unwrap();
+                assert_eq!(writer.bytes, expected);
+            }
+            let mut writer = CountingWriter::default();
+            send_with_body(&mut writer, &body, |body| WireRequest::Round { body }).unwrap();
+            assert_eq!(writer.writes, 1);
+            let mut expected = Vec::new();
+            send(&mut expected, &WireRequest::Round { body: codec::encode(&body) }).unwrap();
+            assert_eq!(writer.bytes, expected);
+        }
     }
 
     #[test]

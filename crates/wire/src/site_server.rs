@@ -10,15 +10,16 @@
 //! [`WireReply::Error`]; the site stays alive for later rounds.
 
 use crate::msg::{self, WireReply, WireRequest};
+use crate::tcp::configure_stream;
 use paxml_core::dispatch;
-use paxml_core::EpochRequest;
+use paxml_core::{EpochRequest, ProtocolResponse};
 use paxml_distsim::{SiteId, SiteLocal};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One PaX site listening on a TCP socket.
 ///
@@ -54,13 +55,27 @@ impl SiteServer {
     ///
     /// Each accepted connection gets its own handler thread; the `Shutdown`
     /// handler flips the shared flag and pokes the listener with a throwaway
-    /// connection so the blocking `accept` observes it.
+    /// connection so the blocking `accept` observes it. A failed accept or
+    /// socket setup costs only that connection: the site keeps serving the
+    /// next dial (a probe or repair), and only a shutdown ends the loop.
     pub fn run(self) -> io::Result<()> {
         let local_addr = self.local_addr()?;
         loop {
-            let (stream, _) = self.listener.accept()?;
+            let accepted = self.listener.accept();
             if self.shutting_down.load(Ordering::SeqCst) {
                 return Ok(());
+            }
+            let stream = match accepted {
+                Ok((stream, _)) => stream,
+                Err(err) => {
+                    if let Some(pause) = accept_retry_pause(&err) {
+                        std::thread::sleep(pause);
+                    }
+                    continue;
+                }
+            };
+            if configure_stream(&stream, None).is_err() {
+                continue;
             }
             let site = Arc::clone(&self.site);
             let shutting_down = Arc::clone(&self.shutting_down);
@@ -68,6 +83,18 @@ impl SiteServer {
                 serve_connection(stream, site, shutting_down, local_addr);
             });
         }
+    }
+}
+
+/// How long to wait before the next `accept` after a failed one: errors of
+/// one connection retry at once; anything else, typically running out of
+/// file descriptors (`EMFILE`/`ENFILE`), pauses so the loop does not spin.
+fn accept_retry_pause(err: &io::Error) -> Option<Duration> {
+    match err.kind() {
+        io::ErrorKind::ConnectionAborted
+        | io::ErrorKind::ConnectionReset
+        | io::ErrorKind::Interrupted => None,
+        _ => Some(Duration::from_millis(10)),
     }
 }
 
@@ -97,7 +124,16 @@ fn serve_connection(
                 }
                 WireReply::Loaded { fragments: guard.fragment_count() }
             }
-            WireRequest::Round { body } => run_round(&site, &body),
+            WireRequest::Round { body } => match run_round(&site, &body) {
+                Ok((ops, busy_nanos, response)) => {
+                    let envelope = |body| WireReply::Round { ops, busy_nanos, body };
+                    if msg::send_with_body(&mut stream, &response, envelope).is_err() {
+                        return;
+                    }
+                    continue;
+                }
+                Err(message) => WireReply::Error { message },
+            },
             WireRequest::ScratchLen => {
                 WireReply::ScratchLen { len: lock_site(&site).scratch_len() }
             }
@@ -129,12 +165,13 @@ fn serve_connection(
 }
 
 /// Decode and dispatch one protocol round, metering ops and busy time the
-/// same way the simulator's round does.
-fn run_round(site: &Arc<Mutex<SiteLocal>>, body: &[u8]) -> WireReply {
-    let request: EpochRequest = match crate::codec::decode(body) {
-        Ok(request) => request,
-        Err(err) => return WireReply::Error { message: err.to_string() },
-    };
+/// same way the simulator's round does: `(ops, busy_nanos, response)`, or
+/// why the round could not be served.
+fn run_round(
+    site: &Arc<Mutex<SiteLocal>>,
+    body: &[u8],
+) -> Result<(u64, u64, ProtocolResponse), String> {
+    let request: EpochRequest = crate::codec::decode(body).map_err(|err| err.to_string())?;
     let mut guard = lock_site(site);
     let ops_before = guard.ops();
     let start = Instant::now();
@@ -145,12 +182,8 @@ fn run_round(site: &Arc<Mutex<SiteLocal>>, body: &[u8]) -> WireReply {
     let ops = guard.ops() - ops_before;
     drop(guard);
     match outcome {
-        Ok(response) => WireReply::Round {
-            ops,
-            busy_nanos: busy.as_nanos() as u64,
-            body: crate::codec::encode(&response),
-        },
-        Err(payload) => WireReply::Error { message: panic_message(payload) },
+        Ok(response) => Ok((ops, busy.as_nanos() as u64, response)),
+        Err(payload) => Err(panic_message(payload)),
     }
 }
 
@@ -166,5 +199,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         format!("site task panicked: {s}")
     } else {
         "site task panicked".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_connection_level_accept_error_retries_at_once_and_others_pause() {
+        assert_eq!(accept_retry_pause(&io::ErrorKind::ConnectionAborted.into()), None);
+        // Out of file descriptors has no `ErrorKind` of its own.
+        assert!(accept_retry_pause(&io::Error::other("too many open files")).is_some());
     }
 }

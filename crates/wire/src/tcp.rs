@@ -11,6 +11,11 @@
 //! keeps every connection's request/reply streams in lockstep even when the
 //! cluster is shared across coordinator threads.
 //!
+//! Both ends of a connection run `configure_stream` — the coordinator on
+//! dial, the [`SiteServer`](crate::SiteServer) on accept — so both set
+//! `TCP_NODELAY`; with every frame sent in one write, each message is one
+//! segment and a round never waits for a delayed ACK.
+//!
 //! # Failure behaviour
 //!
 //! A connection that errors is marked **dead**: the first failed round
@@ -272,13 +277,12 @@ fn connect_with_retry(
     for attempt in 0..attempts.max(1) {
         match TcpStream::connect(addr) {
             Ok(stream) => {
-                stream
-                    .set_read_timeout(Some(options.read_timeout))
-                    .and_then(|()| stream.set_nodelay(true))
-                    .map_err(|err| PaxError::SiteUnreachable {
+                configure_stream(&stream, Some(options.read_timeout)).map_err(|err| {
+                    PaxError::SiteUnreachable {
                         site,
                         detail: format!("{addr}: configuring the socket: {err}"),
-                    })?;
+                    }
+                })?;
                 return Ok(stream);
             }
             Err(err) => last_error = err.to_string(),
@@ -291,6 +295,18 @@ fn connect_with_retry(
         site,
         detail: format!("{addr}: no connection after {attempts} attempts: {last_error}"),
     })
+}
+
+/// Set up a dialled or accepted stream: the one place both ends of a
+/// connection are configured. Frames are whole messages, so Nagle could only
+/// hold them for the peer's delayed ACK; `read_timeout` is the coordinator's
+/// backstop against a hung site (a site waits on its coordinator with none).
+pub(crate) fn configure_stream(
+    stream: &TcpStream,
+    read_timeout: Option<Duration>,
+) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)
 }
 
 /// Hello + Load over a fresh connection.
@@ -360,12 +376,12 @@ impl Transport for TcpCluster {
         let mut failure: Option<PaxError> = None;
         for (site, request) in &requests {
             let operation = request.body.kind();
-            let body = codec::encode(request);
-            let request_bytes = body.len() as u64;
             let peer = self.peer(*site);
             let mut conn = self.lock_conn(*site);
             let result = match &mut conn.stream {
-                Ok(stream) => msg::send(stream, &WireRequest::Round { body }),
+                Ok(stream) => {
+                    msg::send_with_body(stream, request, |body| WireRequest::Round { body })
+                }
                 Err(detail) => {
                     failure =
                         Some(PaxError::SiteUnreachable { site: *site, detail: detail.clone() });
@@ -373,7 +389,7 @@ impl Transport for TcpCluster {
                 }
             };
             match result {
-                Ok(()) => sent.push((*site, request_bytes, operation)),
+                Ok(request_bytes) => sent.push((*site, request_bytes as u64, operation)),
                 Err(err) => {
                     let label = format!("sending {operation}");
                     failure = Some(conn.kill(*site, peer, &label, &err));

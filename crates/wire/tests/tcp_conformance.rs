@@ -18,6 +18,7 @@ use paxml_xmark::{clientele_fragmentation, UpdateWorkload, CLIENTELE_QUERY_EXAMP
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 const SITES: usize = 4;
 
@@ -193,5 +194,44 @@ fn sessions_batches_and_updates_match_simulator() {
         for site in 0..SITES {
             assert_eq!(transport.scratch_len(SiteId(site)), 0, "reset must clear site scratch");
         }
+    }
+}
+
+/// Loopback rounds must not wait on a Nagle/delayed-ACK timer. A site that
+/// writes its reply in two pieces without `TCP_NODELAY` holds the second
+/// piece for the coordinator's delayed ACK, ~40 ms a round trip: 200 of them
+/// then take 8 s or more, against well under 0.1 s without the stall even in
+/// a debug build. The 2 s bound leaves a 20x margin on both sides.
+#[test]
+fn loopback_round_trips_do_not_stall_on_delayed_acks() {
+    use paxml_core::Transport;
+    let (_tree, fragmented) = clientele_fragmentation();
+    let transport = TcpCluster::connect(&fragmented, &spawn_site_threads(1), Placement::RoundRobin)
+        .expect("connect a one-site cluster");
+    let start = Instant::now();
+    for _ in 0..200 {
+        assert!(transport.probe(SiteId(0)), "a live site failed its probe");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "200 probe round trips took {elapsed:?}");
+    drop(transport);
+
+    // Whole queries over three sites still answer like the simulator.
+    const QUERY_SITES: usize = 3;
+    let sim = PaxServer::builder()
+        .sites(QUERY_SITES)
+        .placement(Placement::RoundRobin)
+        .deploy(&fragmented)
+        .expect("deploy simulator server");
+    let transport =
+        TcpCluster::connect(&fragmented, &spawn_site_threads(QUERY_SITES), Placement::RoundRobin)
+            .expect("connect a three-site cluster");
+    let tcp = PaxServer::builder()
+        .deploy_over(&fragmented, Arc::new(transport))
+        .expect("deploy TCP server");
+    for (query, _) in CLIENTELE_QUERY_EXAMPLES.iter().cycle().take(20) {
+        let expected = sim.query_once(query).expect("simulator answers");
+        let got = tcp.query_once(query).expect("TCP answers");
+        assert_eq!(got.answer_texts(), expected.answer_texts(), "answers diverged for {query}");
     }
 }
